@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint test race bench vuln fma-test fma-bench
+.PHONY: check fmt vet lint test race bench vuln
 
 check: fmt vet lint test
 
@@ -29,19 +29,6 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-
-# The opt-in fast training tier. GOAMD64=v3 makes math.FMA compile to real
-# fused instructions on amd64; without it the tier falls back to scalar
-# kernel aliases (see internal/nn/kernels_fused_off.go).
-fma-test:
-	GOAMD64=v3 $(GO) build -tags fma ./...
-	GOAMD64=v3 $(GO) test -tags fma ./internal/nn ./internal/core
-
-# The same-binary scalar/fast pair behind the train-kernel-fma benchgate.
-fma-bench:
-	GOAMD64=v3 $(GO) test -run '^$$' -tags fma \
-		-bench 'BenchmarkTrainEpoch$$|BenchmarkTrainEpochFMA$$' \
-		-benchtime=10x -benchmem ./internal/nn
 
 # Mirrors the CI vuln job; skips gracefully where govulncheck (a network
 # install) is unavailable.

@@ -99,17 +99,15 @@ func TestParseBenchOutputStripsCPUSuffix(t *testing.T) {
 	}
 }
 
-// The CI benchgate appends the fma build's output to the default build's
-// file (`tee -a`), relying on the parser keeping the LAST occurrence of a
-// repeated name so the scalar-pinned BenchmarkTrainEpoch from the fma
-// binary becomes both the fma gate's baseline and the throughput gate's
-// candidate. Pin that last-wins behavior.
+// Two runs appended to one output file (`tee -a`) repeat benchmark names;
+// the parser keeps the LAST occurrence of each. Pin that last-wins
+// behavior.
 func TestParseBenchOutputLastWins(t *testing.T) {
 	appended := "BenchmarkTrainEpoch-4 	10	40000000 ns/op	100 B/op	8 allocs/op\n" +
 		"BenchmarkTrainEpochSeed-4 	10	85000000 ns/op	200 B/op	9000 allocs/op\n" +
 		"PASS\n" +
 		"BenchmarkTrainEpoch-4 	10	42000000 ns/op	100 B/op	8 allocs/op\n" +
-		"BenchmarkTrainEpochFMA-4 	10	26000000 ns/op	110 B/op	8 allocs/op\n" +
+		"BenchmarkFineTuneEpochs-4 	10	26000000 ns/op	110 B/op	8 allocs/op\n" +
 		"PASS\n"
 	res, err := parseBenchOutput(strings.NewReader(appended))
 	if err != nil {
@@ -118,11 +116,11 @@ func TestParseBenchOutputLastWins(t *testing.T) {
 	if got := res["BenchmarkTrainEpoch"].NsPerOp; got != 42000000 {
 		t.Errorf("repeated name should keep the last occurrence, got %v ns/op", got)
 	}
-	if got := res["BenchmarkTrainEpochFMA"].NsPerOp; got != 26000000 {
-		t.Errorf("fma candidate missing or wrong: %v ns/op", got)
+	if got := res["BenchmarkFineTuneEpochs"].NsPerOp; got != 26000000 {
+		t.Errorf("second run's benchmark missing or wrong: %v ns/op", got)
 	}
 	if got := res["BenchmarkTrainEpochSeed"].NsPerOp; got != 85000000 {
-		t.Errorf("first build's seed result should survive: %v ns/op", got)
+		t.Errorf("first run's seed result should survive: %v ns/op", got)
 	}
 }
 

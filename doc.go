@@ -131,18 +131,11 @@
 // allocs/epoch against the retired per-sample loop; the "train-scale"
 // experiment in cmd/benchreport regenerates the batch-size scaling table.
 //
-// The kernel layer underneath is two-tiered. The default build is
-// bit-reproducible: scalar kernels, byte-identical serialization, and a
-// 1e-6 parity oracle against the retired loop. Building with -tags fma
-// (plus GOAMD64=v3 on amd64) swaps in math.FMA-fused kernels that stripe
-// each mini-batch across bounded pool workers with per-worker gradient
-// slabs reduced in a fixed tree order — run-to-run deterministic at a
-// fixed worker count, and within a 1e-3 tolerance of the scalar tier
-// across every optimizer/loss combination. Every training consumer
-// (TrainPredictor, Predictor.Adapt, grid search, the serve daemon's
-// drift-triggered re-adaptation) picks the fast kernels up transparently;
-// see internal/nn's package documentation for the full determinism
-// policy.
+// The kernel layer underneath is bit-reproducible: scalar kernels with
+// frozen summation orders, byte-identical serialization, and a 1e-6
+// parity oracle against the retired loop, so a fixed WithSeed yields the
+// same model bytes on every platform. See internal/nn's package
+// documentation for the full determinism policy.
 //
 // # Adaptive search
 //
@@ -178,7 +171,4 @@
 // baselines — lives in internal/ packages and is exercised through this
 // API, the example programs under examples/, and the benchmark harness
 // that regenerates every table and figure of the paper (cmd/benchreport).
-//
-// The pre-options entry points (GenerateDatasetFromConfig and friends)
-// remain as thin deprecated shims over this API; see compat.go.
 package sizeless

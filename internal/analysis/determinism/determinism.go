@@ -8,7 +8,6 @@ package determinism
 
 import (
 	"go/ast"
-	"go/build/constraint"
 	"go/token"
 	"go/types"
 
@@ -23,8 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid global math/rand draws, time.Now-derived seeds, map-iteration " +
 		"order feeding float accumulators or slice appends in the numeric packages, " +
 		"and float accumulation into shared variables inside pool worker closures in " +
-		"internal/nn (outside fma-tagged files); seed-reproducibility is what keeps " +
-		"the parity oracles bit-exact",
+		"internal/nn; seed-reproducibility is what keeps the parity oracles bit-exact",
 	Run: run,
 }
 
@@ -70,14 +68,8 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	info := pass.TypesInfo
 	mapOrder := numericScoped(pass.Path())
-	kernelScope := analysis.PathHasSegment(pass.Path(), "internal/nn")
+	parallelAccum := analysis.PathHasSegment(pass.Path(), "internal/nn")
 	for _, f := range pass.Files {
-		// Files gated behind the fma build tag live under the fast tier's
-		// tolerance oracle: their worker closures accumulate into
-		// per-worker slabs with a deterministic tree reduction, which this
-		// syntactic check cannot distinguish from a genuine shared-float
-		// race. The bit-exact default tier gets the strict rule.
-		parallelAccum := kernelScope && !fileRequiresTag(f, "fma")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -100,48 +92,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// fileRequiresTag reports whether f's //go:build constraint makes the
-// build tag a necessary condition: the tag appears in the expression and
-// the file cannot build with it disabled (every other tag granted, the
-// liberal assignment — sufficient for the repo's `fma && (...)` gates).
-func fileRequiresTag(f *ast.File, tag string) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			if exprMentionsTag(expr, tag) && !expr.Eval(func(t string) bool { return t != tag }) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// exprMentionsTag walks a build-constraint expression for the tag.
-func exprMentionsTag(expr constraint.Expr, tag string) bool {
-	switch e := expr.(type) {
-	case *constraint.TagExpr:
-		return e.Tag == tag
-	case *constraint.NotExpr:
-		return exprMentionsTag(e.X, tag)
-	case *constraint.AndExpr:
-		return exprMentionsTag(e.X, tag) || exprMentionsTag(e.Y, tag)
-	case *constraint.OrExpr:
-		return exprMentionsTag(e.X, tag) || exprMentionsTag(e.Y, tag)
-	}
-	return false
-}
-
 // checkParallelAccum flags float compound assignment into variables
-// declared outside a worker closure passed to pool.Run or pool.Stripes:
+// declared outside a worker closure passed to pool.Run:
 // workers race on the accumulator, and even under a lock the accumulation
 // order would follow goroutine scheduling — float addition is not
 // associative, so the result changes run to run. Matched by package name
@@ -151,7 +103,7 @@ func checkParallelAccum(pass *analysis.Pass, call *ast.CallExpr) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "pool" {
 		return
 	}
-	if fn.Name() != "Run" && fn.Name() != "Stripes" {
+	if fn.Name() != "Run" {
 		return
 	}
 	info := pass.TypesInfo
@@ -192,7 +144,7 @@ func checkParallelAccum(pass *analysis.Pass, call *ast.CallExpr) {
 				return true
 			}
 			pass.Reportf(asg.Pos(),
-				"float accumulation into %s shared across pool workers follows goroutine scheduling order (float addition is not associative); accumulate into a per-worker slab and reduce in a fixed order, or gate the file behind the fma tag's tolerance oracle", root.Name)
+				"float accumulation into %s shared across pool workers follows goroutine scheduling order (float addition is not associative); accumulate into a per-worker slab and reduce in a fixed order", root.Name)
 			return true
 		})
 	}

@@ -10,7 +10,7 @@ import (
 func TestAnalyzer(t *testing.T) {
 	// c/internal/nn: numeric-scoped violations plus a suppressed exception.
 	// c/internal/nn/fastpath: shared-float accumulation in pool worker
-	// closures flagged in untagged files, silent behind the fma tag.
+	// closures flagged; per-worker slabs and integer counts silent.
 	// c/internal/util: outside the numeric scope, asserted silent.
 	// c/internal/loadgen: the scenario engine's scope — seedless draws and
 	// map-order schedule assembly flagged.

@@ -1,8 +1,7 @@
-// Package fastpath sits under internal/nn with no build tag: the
-// parallel-accumulation rule applies in full. Worker closures handed to
-// pool.Run/pool.Stripes must not fold floats into shared accumulators —
-// the scheduling order would pick the addition order, and float addition
-// is not associative.
+// Package fastpath sits under internal/nn: the parallel-accumulation rule
+// applies in full. Worker closures handed to pool.Run must not fold floats
+// into shared accumulators — the scheduling order would pick the addition
+// order, and float addition is not associative.
 package fastpath
 
 import (
@@ -21,13 +20,14 @@ func SharedSum(xs []float64) float64 {
 	return total
 }
 
-// StripedShared does the same through the striped entry point, with the
+// StripedShared does the same over contiguous per-worker ranges, with the
 // accumulator behind a struct field.
 type scratch struct{ loss float64 }
 
 func StripedShared(s *scratch, xs []float64) {
-	_ = pool.Stripes(context.Background(), len(xs), 2, func(w, start, end int) error {
-		for i := start; i < end; i++ {
+	const workers = 2
+	_ = pool.Run(context.Background(), workers, workers, func(w int) error {
+		for i := w * len(xs) / workers; i < (w+1)*len(xs)/workers; i++ {
 			s.loss += xs[i] // want `float accumulation into s shared across pool workers`
 		}
 		return nil
@@ -38,10 +38,11 @@ func StripedShared(s *scratch, xs []float64) {
 // closure-local accumulator and publishes it to its own slot; the caller
 // reduces in a fixed order. Silent.
 func PerWorkerSlab(xs []float64) float64 {
-	partial := make([]float64, 2)
-	_ = pool.Stripes(context.Background(), len(xs), 2, func(w, start, end int) error {
+	const workers = 2
+	partial := make([]float64, workers)
+	_ = pool.Run(context.Background(), workers, workers, func(w int) error {
 		var local float64
-		for i := start; i < end; i++ {
+		for i := w * len(xs) / workers; i < (w+1)*len(xs)/workers; i++ {
 			local += xs[i]
 		}
 		partial[w] = local

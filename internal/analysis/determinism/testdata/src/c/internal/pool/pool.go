@@ -1,7 +1,7 @@
 // Package pool is a stand-in for the repository's bounded worker pool:
-// the determinism analyzer matches pool.Run / pool.Stripes by package and
-// function name, so this stub lets fixtures exercise the parallel-
-// accumulation rule without importing the real module.
+// the determinism analyzer matches pool.Run by package and function name,
+// so this stub lets fixtures exercise the parallel-accumulation rule
+// without importing the real module.
 package pool
 
 import "context"
@@ -14,11 +14,4 @@ func Run(ctx context.Context, n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Stripes mimics the striped variant.
-func Stripes(ctx context.Context, n, workers int, fn func(w, start, end int) error) error {
-	return Run(ctx, workers, workers, func(i int) error {
-		return fn(i, i*n/workers, (i+1)*n/workers)
-	})
 }

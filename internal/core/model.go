@@ -478,9 +478,9 @@ func (m *Model) timesFromRatios(baseMs float64, ratios []float64) map[platform.M
 // the fleet-scale hot path of a provider-side recommender. Feature
 // extraction and scaling are amortized into single matrix operations, each
 // chunk of summaries moves through every ensemble member as one blocked
-// GEMM (nn.ForwardBatch — the fused kernels in `-tags fma` builds), and
-// chunks run concurrently on up to `workers` goroutines (0 = GOMAXPROCS),
-// clamped to the chunk count so small batches never spawn idle workers.
+// GEMM (nn.ForwardBatch), and chunks run concurrently on up to `workers`
+// goroutines (0 = GOMAXPROCS), clamped to the chunk count so small batches
+// never spawn idle workers.
 // Results are positionally aligned with sums and deterministic, matching
 // Predict up to floating-point reassociation (a few ULPs); cancelling ctx
 // abandons unstarted chunks.

@@ -1,14 +1,13 @@
 package fleetsynth
 
 import (
-	"sort"
 	"time"
 
 	"sizeless/internal/loadgen"
 )
 
-// ColdFraction replays an arrival schedule through the same warm-pool model
-// as Stream — keep-alive idle reaping, LIFO routing to the most recently
+// ColdFraction replays an arrival schedule through the warm-pool model
+// Stream uses — keep-alive idle reaping, LIFO routing to the most recently
 // used warm instance, a fresh cold instance whenever every pooled instance
 // is busy — with a fixed per-invocation service time, and returns the
 // fraction of arrivals that start cold. It is the pure cold-start-exposure
@@ -18,51 +17,16 @@ import (
 // keepAlive <= 0 means instances are never reclaimed (only concurrency
 // growth pays cold starts). An empty schedule returns 0.
 func ColdFraction(sched loadgen.Schedule, service, keepAlive time.Duration) float64 {
-	if len(sched) == 0 {
-		return 0
-	}
-	arrivals := append(loadgen.Schedule(nil), sched...)
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
-
-	type slot struct {
-		busyUntil time.Duration
-		lastUsed  time.Duration
-	}
-	var pool []*slot
+	pool := warmPool{keepAlive: keepAlive}
 	total, colds := 0, 0
-	for _, t := range arrivals {
+	for _, t := range sortedArrivals(sched) {
 		if t < 0 {
 			continue
 		}
 		total++
-
-		if keepAlive > 0 {
-			kept := pool[:0]
-			for _, s := range pool {
-				if s.busyUntil <= t && t-s.lastUsed > keepAlive {
-					continue
-				}
-				kept = append(kept, s)
-			}
-			pool = kept
-		}
-
-		var warm *slot
-		for _, s := range pool {
-			if s.busyUntil > t {
-				continue
-			}
-			if warm == nil || s.lastUsed > warm.lastUsed {
-				warm = s
-			}
-		}
-		if warm == nil {
+		if pool.route(t, service) {
 			colds++
-			warm = &slot{}
-			pool = append(pool, warm)
 		}
-		warm.busyUntil = t + service
-		warm.lastUsed = warm.busyUntil
 	}
 	if total == 0 {
 		return 0

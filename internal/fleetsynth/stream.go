@@ -3,7 +3,6 @@ package fleetsynth
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sizeless/internal/loadgen"
@@ -40,9 +39,9 @@ type StreamConfig struct {
 }
 
 // Stream slices an arrival schedule into per-window invocation batches with
-// a load-dependent cold-start model: a warm pool in the style of
-// internal/lambda (idle-gap reclamation after KeepAlive, LIFO routing to
-// the most recently used warm instance, a new cold instance when none is
+// a load-dependent cold-start model: the warm pool shared with
+// ColdFraction (idle-gap reclamation after KeepAlive, LIFO routing to the
+// most recently used warm instance, a new cold instance when none is
 // idle). Sparse traffic therefore pays cold starts on idle gaps, spikes pay
 // them on concurrency growth, and steady moderate traffic stays warm —
 // cold-start frequency tracks the workload shape rather than a fixed
@@ -67,62 +66,22 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 	nWindows := int((cfg.Horizon + cfg.Window - 1) / cfg.Window)
 	out := make([][]monitoring.Invocation, nWindows)
 
-	arrivals := append(loadgen.Schedule(nil), sched...)
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
-
-	// Warm pool: busyUntil/lastUsed per instance, mirroring
-	// lambda.Deployment's instanceState without the runtime simulator.
-	type slot struct {
-		busyUntil time.Duration
-		lastUsed  time.Duration
-	}
-	var pool []*slot
-	for _, t := range arrivals {
+	pool := warmPool{keepAlive: cfg.KeepAlive}
+	for _, t := range sortedArrivals(sched) {
 		if t < 0 || t >= cfg.Horizon {
 			continue
 		}
 		w := int(t / cfg.Window)
-
-		// Reap instances idle beyond the keep-alive window.
-		if cfg.KeepAlive > 0 {
-			kept := pool[:0]
-			for _, s := range pool {
-				if s.busyUntil <= t && t-s.lastUsed > cfg.KeepAlive {
-					continue
-				}
-				kept = append(kept, s)
-			}
-			pool = kept
-		}
-
-		// LIFO warm routing: most recently used idle instance.
-		var warm *slot
-		for _, s := range pool {
-			if s.busyUntil > t {
-				continue
-			}
-			if warm == nil || s.lastUsed > warm.lastUsed {
-				warm = s
-			}
-		}
-		cold := warm == nil
-		if cold {
-			warm = &slot{}
-			pool = append(pool, warm)
-		}
-
 		ws := scale
 		if cfg.ScaleAt != nil {
 			if f := cfg.ScaleAt(w); f > 0 {
 				ws *= f
 			}
 		}
-		inv := monitoring.Invocation{Start: t, ColdStart: cold}
+		inv := monitoring.Invocation{Start: t}
 		fill(rng, &inv, ws)
 		inv.Duration = time.Duration(inv.Metrics[monitoring.ExecutionTime] * float64(time.Millisecond))
-
-		warm.busyUntil = t + inv.Duration
-		warm.lastUsed = warm.busyUntil
+		inv.ColdStart = pool.route(t, inv.Duration)
 		out[w] = append(out[w], inv)
 	}
 	return out, nil

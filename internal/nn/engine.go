@@ -36,17 +36,6 @@ type TrainScratch struct {
 	valAct [][]float64
 	bestW  [][]float64
 	bestB  [][]float64
-
-	// Fast-tier state (`-tags fma` builds only; nil otherwise): gradient
-	// slabs for workers 1..W-1 (worker 0 accumulates into gradW/gradB
-	// directly) and per-worker loss partials, reduced in a fixed tree order
-	// after the stripe join so a fixed worker count is run-to-run
-	// deterministic. Sized by ensureFast in tier_fma.go.
-	pgradW [][][]float64 // worker-1 × layer × out·in
-	pgradB [][][]float64 // worker-1 × layer × out
-	ptotal []float64     // per-worker summed sample loss
-	pnzIdx [][]int       // per-worker backward compaction scratch, ≥ rows·out
-	pnzCf  [][]float64   // per-worker live-delta values, aligned with pnzIdx
 }
 
 // NewTrainScratch returns an empty scratch; buffers grow on first use.
@@ -297,14 +286,6 @@ func (n *Network) trainBatch(x, y [][]float64, batch []int, ts *TrainScratch) fl
 	xb := ts.xb[:nb*ins]
 	for s, idx := range batch {
 		copy(xb[s*ins:(s+1)*ins], x[idx])
-	}
-
-	// Tier dispatch: in `-tags fma` builds the fast tier (FMA micro-kernels
-	// plus batch-striped workers) takes the whole step here; in default
-	// builds this inlines to a constant false and the scalar path below is
-	// untouched. See tier_scalar.go / tier_fma.go for the policy.
-	if total, ok := n.trainBatchTier(y, batch, ts); ok {
-		return total
 	}
 
 	// Forward: one fused GEMM (x·wᵀ + bias, ReLU on hidden layers) per
@@ -724,9 +705,8 @@ func axpy2(dst, s0, s1 []float64, v0, v1 float64) {
 // dotBiasScalar computes b + w·x with four independent accumulators,
 // breaking the add-latency dependency chain that bounds the naive loop.
 // The summation order is exactly the retired forwardInto loop's (and
-// gemmNT's remainder path's): the scalar tier's dotBias resolves here, so
-// single-sample inference stays bit-identical to every engine version
-// since PR 4. The fma tier swaps in an FMA variant through the same hook.
+// gemmNT's remainder path's), so single-sample inference stays
+// bit-identical to every engine version since PR 4.
 func dotBiasScalar(w, x []float64, b float64) float64 {
 	w = w[:len(x)]
 	var s0, s1, s2, s3 float64

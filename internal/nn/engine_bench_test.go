@@ -48,12 +48,7 @@ func benchConfig(seed int64) Config {
 // optimizer-state allocation happen off the clock: the reported ns/op and
 // allocs/op are pure steady-state epoch cost, the quantity every epoch of
 // every consumer pays.
-// The scalar tier is pinned explicitly so that in `-tags fma` builds this
-// benchmark stays the scalar baseline of the train-kernel-fma gate, measured
-// in the same binary and run as BenchmarkTrainEpochFMA.
 func BenchmarkTrainEpoch(b *testing.B) {
-	setFastEnabled(false)
-	defer setFastEnabled(true)
 	x, y := benchTrainData()
 	ts := NewTrainScratch()
 	ctx := context.Background()
@@ -79,8 +74,6 @@ func BenchmarkTrainEpoch(b *testing.B) {
 // the per-batch gradient allocations are intrinsic to the retired
 // algorithm and stay on the clock.
 func BenchmarkTrainEpochSeed(b *testing.B) {
-	setFastEnabled(false)
-	defer setFastEnabled(true)
 	x, y := benchTrainData()
 	b.ReportAllocs()
 	b.ResetTimer()

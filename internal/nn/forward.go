@@ -40,12 +40,9 @@ var forwardScratchPool = sync.Pool{New: func() any { return &ForwardScratch{} }}
 // This is the batched inference entry point the fleet recompute path rides:
 // core.Model.PredictBatch and the recommender's drain/recompute calls fan
 // chunks into it, so a whole chunk moves through each layer as one blocked
-// matrix multiply instead of per-sample dot products. In the default tier
-// the kernel is the bit-reproducible scalar gemmNT; `-tags fma` builds
-// dispatch to the FMA micro-kernels, striped across workers for large
-// batches (row-disjoint writes, so results are identical for any worker
-// count). Either way results are deterministic and match Predict within
-// floating-point reassociation (a few ULPs).
+// matrix multiply (the bit-reproducible scalar gemmNT) instead of
+// per-sample dot products. Results are deterministic and match Predict
+// within floating-point reassociation (a few ULPs).
 func (n *Network) ForwardBatch(xs [][]float64, dst [][]float64, fs *ForwardScratch) error {
 	if len(dst) != len(xs) {
 		return fmt.Errorf("nn: ForwardBatch dst has %d rows, want %d", len(dst), len(xs))
@@ -73,7 +70,11 @@ func (n *Network) ForwardBatch(xs [][]float64, dst [][]float64, fs *ForwardScrat
 	for i, x := range xs {
 		copy(xb[i*ins:(i+1)*ins], x)
 	}
-	n.forwardLayers(xb, fs.acts, nb)
+	in := xb
+	for li, l := range n.layers {
+		gemmNT(fs.acts[li][:nb*l.out], in, l.w, l.b, nb, l.out, l.in, l.relu)
+		in = fs.acts[li][:nb*l.out]
+	}
 	top := fs.acts[len(n.layers)-1][:nb*outs]
 	for i := range dst {
 		copy(dst[i], top[i*outs:(i+1)*outs])

@@ -33,35 +33,17 @@
 //
 // # Determinism policy
 //
-// The kernels come in two tiers with different reproducibility contracts:
+// The kernels are bit-reproducible: pure scalar kernels with frozen
+// summation orders, a fixed sample order within every mini-batch, and no
+// parallelism inside a single Train call. A fixed seed reproduces the same
+// weights to the last bit on every platform, serialization is
+// byte-identical across runs, and the retired per-sample loop in
+// reference_test.go is the 1e-6 parity oracle. Every test fixture and
+// every saved model file is pinned against these kernels.
 //
-// Tier 1 (the default build) is bit-reproducible: pure scalar kernels, a
-// fixed sample order within every mini-batch, and no parallelism inside a
-// single Train call. A fixed seed reproduces the same weights to the last
-// bit on every platform, serialization is byte-identical across runs, and
-// the retired per-sample loop in reference_test.go is the 1e-6 parity
-// oracle. This is the tier every test fixture and every saved model file
-// is pinned against.
-//
-// Tier 2 (go build -tags fma; kernels_fused.go, tier_fma.go) trades
-// bit-compatibility with tier 1 for speed: every kernel is rewritten
-// around math.FMA (fused multiply-add rounds once, not twice), and the
-// mini-batch is striped across bounded workers from internal/pool with
-// per-worker gradient slabs merged in a fixed tree order. The contract
-// weakens to run-to-run determinism: at a fixed worker count
-// (SetFastWorkers) results are bit-identical across runs and across
-// GOMAXPROCS settings, but they differ from tier 1 in the low bits —
-// fma_parity_test.go holds the two tiers within a 1e-3 tolerance oracle
-// over every optimizer × loss combination. On amd64 the fused kernels
-// require GOAMD64=v3 (otherwise math.FMA takes a per-call feature test
-// and kernels_fused_off.go aliases the tier back to scalar, keeping the
-// build valid but pointless).
-//
-// The determinism analyzer in internal/analysis enforces the boundary
-// mechanically: untagged files in this package may not accumulate floats
-// into shared state from pool worker closures; files behind the fma build
-// tag may, because the tolerance oracle (not bit-equality) is their
-// contract.
+// The determinism analyzer in internal/analysis enforces this
+// mechanically: no file in this package may accumulate floats into shared
+// state from pool worker closures.
 package nn
 
 import (
@@ -305,14 +287,12 @@ func (n *Network) PredictInto(x []float64, scratch Scratch) ([]float64, error) {
 }
 
 // forwardInto computes the layer output for one sample into out without
-// allocating, through the tier-dispatched dot kernel: the default tier's
-// dotBias is the four-accumulator scalar loop (deterministic, identical in
-// summation order to the mini-batch engine's remainder kernel); `-tags
-// fma` builds swap in the FMA dot so the recommender's per-function
-// recompute path rides the fused kernels too.
+// allocating, through the four-accumulator scalar dot (deterministic,
+// identical in summation order to the mini-batch engine's remainder
+// kernel).
 func (d *dense) forwardInto(x, out []float64) {
 	for o := 0; o < d.out; o++ {
-		s := dotBias(d.row(o), x, d.b[o])
+		s := dotBiasScalar(d.row(o), x, d.b[o])
 		if d.relu && s < 0 {
 			s = 0
 		}

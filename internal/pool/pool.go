@@ -71,33 +71,6 @@ func Run(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return firstErr(errs)
 }
 
-// Stripes partitions [0, n) into W contiguous, near-equal ranges — where
-// W is `workers` clamped to [1, n] (0 = GOMAXPROCS) — and runs
-// fn(w, start, end) for stripe w on up to W goroutines. Stripe w covers
-// [w·n/W, (w+1)·n/W), a pure function of n and W: a fixed worker count
-// yields a fixed decomposition regardless of GOMAXPROCS or goroutine
-// scheduling, which is what lets the fast training tier reduce per-worker
-// gradient slabs in a deterministic order. Clamping W to n means short
-// inputs never spawn idle goroutines, and W == 1 runs fn inline.
-//
-// Error and cancellation semantics are Run's: the lowest-indexed stripe's
-// error wins, and cancellation stops unstarted stripes.
-func Stripes(ctx context.Context, n, workers int, fn func(w, start, end int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	w := workers
-	return Run(ctx, w, w, func(i int) error {
-		return fn(i, i*n/w, (i+1)*n/w)
-	})
-}
-
 func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {

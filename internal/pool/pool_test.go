@@ -3,8 +3,6 @@ package pool
 import (
 	"context"
 	"errors"
-	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -51,92 +49,6 @@ func TestRunEmptyAndNilCtx(t *testing.T) {
 	ran := false
 	if err := Run(nil, 1, 1, func(int) error { ran = true; return nil }); err != nil || !ran {
 		t.Errorf("nil ctx should default to Background: err=%v ran=%v", err, ran)
-	}
-}
-
-func TestStripesCoverExactlyOnce(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 37, 100} {
-		for _, workers := range []int{0, 1, 3, 4, 64} {
-			var hits [100]atomic.Int32
-			err := Stripes(context.Background(), n, workers, func(w, start, end int) error {
-				if start > end || start < 0 || end > n {
-					t.Fatalf("n=%d workers=%d: stripe %d is [%d, %d)", n, workers, w, start, end)
-				}
-				for i := start; i < end; i++ {
-					hits[i].Add(1)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			for i := 0; i < n; i++ {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, workers, i, got)
-				}
-			}
-		}
-	}
-}
-
-// TestStripesPartitionIsFixed pins the determinism contract: the stripe
-// boundaries are a pure function of (n, clamped workers), never of
-// scheduling — the fast training tier's fixed-order gradient reduction
-// relies on this.
-func TestStripesPartitionIsFixed(t *testing.T) {
-	record := func() [][2]int {
-		var mu sync.Mutex
-		got := make([][2]int, 4)
-		if err := Stripes(context.Background(), 37, 4, func(w, start, end int) error {
-			mu.Lock()
-			got[w] = [2]int{start, end}
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	first := record()
-	for run := 0; run < 10; run++ {
-		if got := record(); !reflect.DeepEqual(got, first) {
-			t.Fatalf("partition changed across runs: %v vs %v", got, first)
-		}
-	}
-}
-
-// TestStripesClampsWorkers asserts no idle stripes: with more workers than
-// items every stripe is non-empty and there are exactly n of them.
-func TestStripesClampsWorkers(t *testing.T) {
-	var stripes atomic.Int32
-	err := Stripes(context.Background(), 3, 16, func(w, start, end int) error {
-		stripes.Add(1)
-		if end-start != 1 {
-			t.Errorf("stripe %d covers %d items, want 1", w, end-start)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stripes.Load(); got != 3 {
-		t.Errorf("ran %d stripes for 3 items, want 3", got)
-	}
-}
-
-func TestStripesError(t *testing.T) {
-	boom := errors.New("boom")
-	err := Stripes(context.Background(), 8, 4, func(w, start, end int) error {
-		if w == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("got %v, want stripe error", err)
-	}
-	if err := Stripes(context.Background(), 0, 4, func(w, start, end int) error { return boom }); err != nil {
-		t.Errorf("zero items should be a no-op, got %v", err)
 	}
 }
 

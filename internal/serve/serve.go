@@ -244,6 +244,9 @@ func (s *Server) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	// Serve closes ln itself; this covers a cancel that lands before the
+	// pool ever starts the Serve task.
+	defer ln.Close()
 	s.startAt = time.Now()
 	s.addr.Store(ln.Addr().String())
 	close(s.ready)
@@ -256,22 +259,28 @@ func (s *Server) Run(ctx context.Context) error {
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 
-	// Every long-lived goroutine — the HTTP acceptor, its shutdown
-	// watcher, one drainer per shard, the snapshot timer, and the adapt
-	// loop — rides the bounded pool with one worker per task.
+	// The shutdown trigger sits outside the pool: pool.Run skips tasks it
+	// has not yet started once ctx is done, and a skipped watcher would
+	// leave Serve running forever. After Shutdown, Serve returns at once
+	// (or never starts accepting), and Shutdown itself waits for in-flight
+	// handlers, so every 202 is enqueued before the final sweep.
+	shutdownDone := make(chan struct{})
+	stopShutdown := context.AfterFunc(ctx, func() {
+		defer close(shutdownDone)
+		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
+		defer cancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			s.cfg.Logf("serve: shutdown: %v", err)
+		}
+	})
+
+	// Every other long-lived goroutine — the HTTP acceptor, one drainer
+	// per shard, the snapshot timer, and the adapt loop — rides the
+	// bounded pool with one worker per task.
 	tasks := []func(context.Context) error{
 		func(context.Context) error {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				return fmt.Errorf("serve: %w", err)
-			}
-			return nil
-		},
-		func(ctx context.Context) error {
-			<-ctx.Done()
-			sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				s.cfg.Logf("serve: shutdown: %v", err)
 			}
 			return nil
 		},
@@ -299,6 +308,9 @@ func (s *Server) Run(ctx context.Context) error {
 	if runErr != nil && errors.Is(runErr, ctx.Err()) {
 		runErr = nil // a cancelled ctx is the normal way to stop Run
 	}
+	if !stopShutdown() {
+		<-shutdownDone
+	}
 
 	// The drainers have exited; sweep any windows that slipped into the
 	// queues during the shutdown race, then persist the final state.
@@ -315,31 +327,26 @@ func (s *Server) Run(ctx context.Context) error {
 }
 
 // drainShard feeds one shard queue into the service until ctx is
-// cancelled, then drains whatever is already queued under the shutdown
-// grace so accepted windows are not lost on a clean stop.
+// cancelled. A dequeued window was acknowledged with 202, so it is
+// committed even when cancellation races the dequeue; windows still queued
+// when the drainer stops are left to sweepQueues.
 func (s *Server) drainShard(ctx context.Context, si int) {
 	q := s.queues[si]
+	jctx := context.WithoutCancel(ctx)
 	for {
 		select {
 		case j := <-q.jobs:
-			s.process(ctx, q, j)
+			s.process(jctx, q, j)
 		case <-ctx.Done():
-			gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
-			for {
-				select {
-				case j := <-q.jobs:
-					s.process(gctx, q, j)
-				default:
-					cancel()
-					return
-				}
-			}
+			return
 		}
 	}
 }
 
-// sweepQueues ingests jobs enqueued after the drainers exited (a request
-// racing shutdown). Runs single-threaded, after all drainers stopped.
+// sweepQueues ingests, under the shutdown grace, every window still queued
+// once the drainers have exited: the backlog at cancellation and any
+// request that raced shutdown. Runs single-threaded, after all drainers
+// stopped.
 func (s *Server) sweepQueues(ctx context.Context) {
 	gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
 	defer cancel()

@@ -383,6 +383,73 @@ func TestServeShutdownDrainsAcceptedWindows(t *testing.T) {
 	}
 }
 
+// TestDrainShardAfterCancelCommitsDequeuedWindows pins the drainer's side
+// of the graceful-stop contract: a drainer woken after cancellation may
+// still dequeue a window (select picks among ready cases at random), and
+// that window must be committed, not handed to Ingest under the cancelled
+// ctx and dropped. Whatever it leaves queued is the shutdown sweep's.
+func TestDrainShardAfterCancelCommitsDequeuedWindows(t *testing.T) {
+	srv, err := New(Config{
+		Predictor:      testPredictor(t),
+		ServiceOptions: []sizeless.Option{sizeless.WithMinWindow(50)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const rounds, perWindow = 20, 10
+	windows := fleetsynth.Batch(64, perWindow, 3, 1)
+	for round := 0; round < rounds; round++ {
+		jobs := make([]job, 0, len(windows))
+		for fn, invs := range windows {
+			jobs = append(jobs, newJob(fn, append([]monitoring.Invocation(nil), invs...)))
+		}
+		if err := srv.enqueueBatch(jobs); err != nil {
+			t.Fatal(err)
+		}
+		for si := range srv.queues {
+			srv.drainShard(ctx, si)
+		}
+		if n := srv.ingestErrors.Load(); n != 0 {
+			t.Fatalf("round %d: %d dequeued windows failed to ingest after cancellation: %v",
+				round, n, srv.lastErrors)
+		}
+		srv.sweepQueues(ctx)
+	}
+	for _, st := range srv.Service().Fleet() {
+		if st.Observed != rounds*perWindow {
+			t.Errorf("%s: observed %d, want %d", st.FunctionID, st.Observed, rounds*perWindow)
+		}
+	}
+}
+
+// TestServeCancelRightAfterStartReturns pins that Run stops however early
+// it is cancelled: a cancel that lands before the pool has started every
+// long-lived task must still shut the HTTP server down.
+func TestServeCancelRightAfterStartReturns(t *testing.T) {
+	pred := testPredictor(t)
+	for i := 0; i < 50; i++ {
+		srv, err := New(Config{Predictor: pred, Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- srv.Run(ctx) }()
+		<-srv.Started()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d: Run = %v, want nil", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: Run did not return after cancel", i)
+		}
+	}
+}
+
 func mustMarshal(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)

@@ -403,41 +403,6 @@ func TestServiceShardedFleetIngest(t *testing.T) {
 	}
 }
 
-func TestDeprecatedConfigShims(t *testing.T) {
-	ds, err := sizeless.GenerateDatasetFromConfig(sizeless.DatasetConfig{
-		Functions: 8,
-		Rate:      10,
-		Duration:  3 * time.Second,
-		Seed:      42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Rows) != 8 {
-		t.Fatalf("shim dataset rows = %d, want 8", len(ds.Rows))
-	}
-	if _, err := sizeless.GenerateDatasetFromConfig(sizeless.DatasetConfig{}); err == nil {
-		t.Error("zero functions should error through the shim")
-	}
-
-	pred, err := sizeless.TrainPredictorFromConfig(ds, sizeless.PredictorConfig{Hidden: []int{16}, Epochs: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := sizeless.MonitorFunctionFromConfig(demoSpec(), sizeless.MonitorConfig{
-		Rate: 10, Duration: 3 * time.Second, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pred.Recommend(sum, 0.75); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pred.NewServiceFromConfig(sizeless.ServiceConfig{MinWindow: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	ds := quickDataset(t)
 	pred, err := sizeless.TrainPredictor(context.Background(), ds,
