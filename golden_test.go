@@ -6,13 +6,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"sizeless"
+	"sizeless/internal/core"
 	"sizeless/internal/fleetsynth"
 	"sizeless/internal/loadgen"
+	"sizeless/internal/nn"
 	"sizeless/internal/xrand"
 )
 
@@ -27,6 +30,11 @@ const (
 	goldenRecommendSHA  = "9462b1338306fdb1a775d9f3d5511cc70fbada4733a71baac607945ea076ca1e"
 	goldenStreamSHA     = "9809f8fb9e867386c04cb638a5e016d26a1dfc74dc313ae0d94b3790e198b837"
 	goldenStreamColdCnt = 80
+	goldenPredictSHA    = "b6350ad57c158b50159457408910c7f199f525d4578e4c73b9f4ac31523e7d9e"
+	goldenFleetSHA      = "6e6cd3f36a6fd00c1700b114155e81f35dc0de3c6bab40528214bd7e6a29cf82"
+	goldenHalvingWinner = "sgd/mape/[12 12]/16"
+	goldenHalvingValMSE = 2.5805414626949976
+	goldenHalvingSHA    = "ca0f4d4b9916778e0691d55d3264f2afb4c579247b31d93f584ebf663667ebc3"
 )
 
 // goldenColdFractions are the exact ColdFraction values for the golden
@@ -41,9 +49,11 @@ var goldenColdFractions = []struct {
 	{1500 * time.Millisecond, 100 * time.Millisecond, 0.4288256227758007},
 }
 
-func TestGoldenPredictorPerSeed(t *testing.T) {
-	ctx := context.Background()
-	train, err := sizeless.GenerateDataset(ctx,
+// goldenTrainSet is the seeded training dataset every predictor golden
+// test starts from.
+func goldenTrainSet(t *testing.T) *sizeless.Dataset {
+	t.Helper()
+	train, err := sizeless.GenerateDataset(context.Background(),
 		sizeless.WithFunctions(20),
 		sizeless.WithRate(5),
 		sizeless.WithDuration(2*time.Second),
@@ -52,7 +62,12 @@ func TestGoldenPredictorPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := sizeless.TrainPredictor(ctx, train,
+	return train
+}
+
+func TestGoldenPredictorPerSeed(t *testing.T) {
+	ctx := context.Background()
+	pred, err := sizeless.TrainPredictor(ctx, goldenTrainSet(t),
 		sizeless.WithHidden(33, 17),
 		sizeless.WithEpochs(60),
 		sizeless.WithEnsembleSize(2),
@@ -92,6 +107,80 @@ func TestGoldenPredictorPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex(raw); got != goldenRecommendSHA {
 		t.Errorf("RecommendBatch output sha256 = %s, want %s", got, goldenRecommendSHA)
+	}
+
+	// The single-row path: one Predict call per held-out summary.
+	single := make([]map[sizeless.MemorySize]float64, len(sums))
+	for i, s := range sums {
+		if single[i], err = pred.Predict(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raw, err = json.Marshal(single); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(raw); got != goldenPredictSHA {
+		t.Errorf("Predict output sha256 = %s, want %s", got, goldenPredictSHA)
+	}
+
+	// The fleet path: seeded fleetsynth windows through the continuous
+	// service. The third round scales every metric 3× so drift fires and
+	// functions recompute. One worker keeps the first-seen order, and so
+	// the Fleet listing, deterministic.
+	svc, err := pred.NewService(sizeless.WithMinWindow(20), sizeless.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, scale := range []float64{1, 1, 3} {
+		batch := fleetsynth.Batch(8, 30, int64(31+round), scale)
+		if _, err := svc.IngestBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raw, err = json.Marshal(svc.Fleet()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(raw); got != goldenFleetSHA {
+		t.Errorf("Fleet JSON sha256 = %s, want %s", got, goldenFleetSHA)
+	}
+}
+
+// TestGoldenHalvingPerSeed pins successive halving's per-seed output on a
+// tiny grid: the winner, its exact validation MSE, and every
+// configuration's final score and elimination round. Scoring runs the
+// ensemble forward pass one validation row at a time.
+func TestGoldenHalvingPerSeed(t *testing.T) {
+	base := core.DefaultModelConfig(sizeless.MemorySize(256))
+	base.EnsembleSize = 2
+	base.Seed = 11
+	grid := core.GridSpec{
+		Optimizers: []nn.Optimizer{nn.Adam, nn.SGD},
+		Losses:     []nn.Loss{nn.MSE, nn.MAPE},
+		Epochs:     []int{16},
+		Neurons:    []int{12},
+		L2s:        []float64{0},
+		Layers:     []int{1, 2},
+	}
+	res, err := core.GridSearchHalving(context.Background(), goldenTrainSet(t), base, grid,
+		core.HalvingOptions{Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Winner()
+	winner := fmt.Sprintf("%s/%s/%v/%d", w.Config.Optimizer, w.Config.Loss, w.Config.Hidden, w.Config.Epochs)
+	if winner != goldenHalvingWinner {
+		t.Errorf("halving winner = %s, want %s", winner, goldenHalvingWinner)
+	}
+	if w.ValMSE != goldenHalvingValMSE {
+		t.Errorf("halving winner ValMSE = %v, want %v", w.ValMSE, goldenHalvingValMSE)
+	}
+	h := sha256.New()
+	for _, s := range res.Scores {
+		fmt.Fprintf(h, "%s/%s/%v %x %d %d\n", s.Config.Optimizer, s.Config.Loss, s.Config.Hidden,
+			math.Float64bits(s.ValMSE), s.EpochsSpent, s.Eliminated)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenHalvingSHA {
+		t.Errorf("halving scores sha256 = %s, want %s", got, goldenHalvingSHA)
 	}
 }
 
