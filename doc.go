@@ -98,12 +98,16 @@
 // The prediction hot paths (Predict, PredictBatch, RecommendBatch, and the
 // service's recompute) share a pooled feature-extraction and forward-pass
 // layer (sync.Pool-backed matrices and scratch), so batch prediction does
-// not allocate a fresh matrix per call. Each tracked function also caches
-// its baseline window's sorted ranks, so a stationary fleet's repeated
-// drift sweeps stop re-sorting the unchanged baseline. BENCH_ingest.json
-// records the measured fleet-ingest throughput of this engine against the
-// seed's sequential pipeline; the "ingest-scale" experiment in
-// cmd/benchreport regenerates the scaling table.
+// not allocate a fresh matrix per call. They share one forward pass too: a
+// single prediction is a one-row batch. Single rows and the last n%4 rows
+// of a batch take the single-row kernel and are bit-identical to Predict;
+// only rows inside four-row blocks reassociate (a few ULPs). Each tracked
+// function also caches its baseline window's sorted ranks, so a
+// stationary fleet's repeated drift sweeps stop re-sorting the unchanged
+// baseline. BENCH_ingest.json records the measured fleet-ingest
+// throughput of this engine against the seed's sequential pipeline; the
+// "ingest-scale" experiment in cmd/benchreport regenerates the scaling
+// table.
 //
 // The deployment posture for all of this is the fleet daemon: "sizeless
 // serve" (internal/serve) exposes ingest/recommend/fleet/status over

@@ -16,10 +16,11 @@
 //     results are identical for any worker count). Predict/PredictBatch run
 //     the ensemble, clamp the predicted ratios to a physically plausible
 //     band, and project the per-size times onto the monotone region (more
-//     memory never predicts slower execution). PredictBatch chunks the
-//     input and drives each chunk through nn.Network.ForwardBatch with a
-//     pooled per-chunk scratch — one matrix pass per ensemble member per
-//     chunk, never more pool workers than chunks. trainmodels.go adds
+//     memory never predicts slower execution). Both run on
+//     nn.Network.ForwardBatch with one pooled scratch type: Predict is a
+//     one-row batch (bit-identical to the per-row kernel), and
+//     PredictBatch chunks the input — one matrix pass per ensemble member
+//     per chunk, never more pool workers than chunks. trainmodels.go adds
 //     TrainModels, the multi-model fan-out (one model per base size or per
 //     provider) over the same pool.
 //

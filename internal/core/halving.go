@@ -298,22 +298,22 @@ func GridSearchHalving(ctx context.Context, ds *dataset.Dataset, base ModelConfi
 // ensemble-mean ratio predictions pooled over rows and targets.
 // Deterministic and read-only over the networks.
 func ensembleValMSE(nets []*nn.Network, vaX, vaY [][]float64) float64 {
-	scratch := nets[0].NewScratch()
+	// One row per forward pass: a one-row batch takes the single-row
+	// kernel, so scores stay bit-identical to per-sample prediction.
+	var fs nn.ForwardScratch
 	outs := len(vaY[0])
 	mean := make([]float64, outs)
+	pred := [][]float64{make([]float64, outs)}
 	var sse float64
 	for i := range vaX {
-		for j := range mean {
-			mean[j] = 0
-		}
+		clear(mean)
 		for _, net := range nets {
-			p, err := net.PredictInto(vaX[i], scratch)
-			if err != nil {
+			if err := net.ForwardBatch(vaX[i:i+1], pred, &fs); err != nil {
 				// Shapes were validated at construction; a failure here is
 				// a programming error, surfaced as an infinite score.
 				return math.Inf(1)
 			}
-			for j, v := range p {
+			for j, v := range pred[0] {
 				mean[j] += v
 			}
 		}

@@ -239,3 +239,32 @@ func TestStreamDropsOutOfHorizonArrivals(t *testing.T) {
 		t.Fatalf("streamed %d invocations, want 2 (negative and >= horizon dropped)", invs)
 	}
 }
+
+// TestSyntheticWindowsPassValidation checks that every generator here
+// produces windows the ingest validator admits, across the scales the
+// benches and drift experiments use.
+func TestSyntheticWindowsPassValidation(t *testing.T) {
+	for _, scale := range []float64{0.1, 1, 3, 10} {
+		for fn, w := range Batch(8, 200, 5, scale) {
+			if err := monitoring.ValidateWindow(w); err != nil {
+				t.Fatalf("Batch scale %v, %s: %v", scale, fn, err)
+			}
+		}
+	}
+	sched, err := loadgen.Poisson(50, time.Minute, xrand.New(2).Derive("arrivals"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := Stream(xrand.New(2).Derive("metrics"), sched, StreamConfig{
+		Horizon: time.Minute, Window: 10 * time.Second, KeepAlive: time.Second,
+		ScaleAt: func(w int) float64 { return float64(1 + w) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, invs := range windows {
+		if err := monitoring.ValidateWindow(invs); err != nil {
+			t.Fatalf("Stream window %d: %v", w, err)
+		}
+	}
+}

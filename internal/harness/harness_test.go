@@ -158,6 +158,9 @@ func TestTraceRetainsInvocations(t *testing.T) {
 	if len(invs) < 150 {
 		t.Fatalf("trace has %d invocations, want ~200", len(invs))
 	}
+	if err := monitoring.ValidateWindow(invs); err != nil {
+		t.Fatalf("simulated trace fails ingest validation: %v", err)
+	}
 	// Invocations are recorded in arrival order; start times may locally
 	// reorder because cold starts delay the handler past later arrivals,
 	// but every start must fall within the experiment window (+ slack for

@@ -2,6 +2,8 @@ package monitoring
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -59,6 +61,34 @@ type Invocation struct {
 	ColdStart bool
 	// Metrics is the diffed Table-1 metric vector.
 	Metrics Vector
+}
+
+// maxMetricMagnitude bounds every admitted metric value. It sits far above
+// any real measurement (1e15 bytes is a petabyte; 1e15 ms is 30,000
+// years) and far enough below the float64 range that the squared
+// deviations Summarize and the Welford accumulator sum cannot overflow.
+const maxMetricMagnitude = 1e15
+
+// ValidateWindow checks a monitoring window before it may reach fleet
+// state: every metric must be finite with magnitude at most 1e15, and
+// every Duration must be non-negative. The error names the first
+// offending invocation by its index in invs. A window that fails here
+// would otherwise poison every summary computed over it.
+func ValidateWindow(invs []Invocation) error {
+	for i := range invs {
+		inv := &invs[i]
+		if inv.Duration < 0 {
+			return fmt.Errorf("monitoring: invocation %d: negative duration %v", i, inv.Duration)
+		}
+		for id := range inv.Metrics {
+			// The negated comparison also rejects NaN.
+			if v := inv.Metrics[id]; !(math.Abs(v) <= maxMetricMagnitude) {
+				return fmt.Errorf("monitoring: invocation %d: %s = %v is not finite or exceeds ±%g",
+					i, MetricID(id), v, maxMetricMagnitude)
+			}
+		}
+	}
+	return nil
 }
 
 // Store receives monitored invocations. The paper writes them to a

@@ -2,6 +2,8 @@ package monitoring
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,5 +206,34 @@ func TestMetricSamplesAndFilters(t *testing.T) {
 	win := Window(invs, time.Second, 2*time.Second)
 	if len(win) != 1 || win[0].Start != time.Second {
 		t.Errorf("Window = %v", win)
+	}
+}
+
+func TestValidateWindow(t *testing.T) {
+	if err := ValidateWindow(nil); err != nil {
+		t.Fatalf("empty window: %v", err)
+	}
+	edge := make([]Invocation, 3)
+	edge[1].Metrics[HeapUsed] = 1e15
+	edge[2].Metrics[BytesReceived] = -1e15
+	if err := ValidateWindow(edge); err != nil {
+		t.Fatalf("zero duration and ±1e15 metrics rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		inv  Invocation
+		want string
+	}{
+		"nan":      {Invocation{Metrics: Vector{ExecutionTime: math.NaN()}}, "executionTime = NaN"},
+		"+inf":     {Invocation{Metrics: Vector{FSReads: math.Inf(1)}}, "fsReads = +Inf"},
+		"-inf":     {Invocation{Metrics: Vector{FSWrites: math.Inf(-1)}}, "fsWrites = -Inf"},
+		"huge":     {Invocation{Metrics: Vector{HeapUsed: 1.0000001e15}}, "heapUsed = 1.0000001e+15"},
+		"duration": {Invocation{Duration: -time.Nanosecond}, "negative duration -1ns"},
+	} {
+		invs := make([]Invocation, 4)
+		invs[2] = c.inv
+		err := ValidateWindow(invs)
+		if err == nil || !strings.Contains(err.Error(), "invocation 2: "+c.want) {
+			t.Errorf("%s: err = %v, want it to name invocation 2 and %q", name, err, c.want)
+		}
 	}
 }

@@ -30,27 +30,25 @@ type TrainScratch struct {
 	gradB [][]float64 // per-layer bias-gradient accumulator, out
 	perm  []int       // epoch shuffle order, len(x)
 
-	// Validation-scoring state (TrainWithValidation only): per-layer
-	// single-sample activations for the per-epoch validation pass, and the
+	// Validation-scoring state (TrainWithValidation only): the one-row
+	// forward scratch of the per-epoch validation pass, and the
 	// best-validation weight/bias snapshot restored when training ends.
-	valAct [][]float64
-	bestW  [][]float64
-	bestB  [][]float64
+	val   ForwardScratch
+	bestW [][]float64
+	bestB [][]float64
 }
 
 // NewTrainScratch returns an empty scratch; buffers grow on first use.
 func NewTrainScratch() *TrainScratch { return &TrainScratch{} }
 
-// ensureVal sizes the validation-pass buffers: per-layer single-sample
-// activations plus the best-weights snapshot. Snapshot space is allocated
-// for every layer (frozen layers are skipped by snapshot/restore, but the
-// scratch is shape-agnostic and reused across networks).
+// ensureVal sizes the best-weights snapshot (the validation forward pass
+// sizes its own scratch). Snapshot space is allocated for every layer
+// (frozen layers are skipped by snapshot/restore, but the scratch is
+// shape-agnostic and reused across networks).
 func (ts *TrainScratch) ensureVal(n *Network) {
-	ts.valAct = growMatrix(ts.valAct, len(n.layers))
 	ts.bestW = growMatrix(ts.bestW, len(n.layers))
 	ts.bestB = growMatrix(ts.bestB, len(n.layers))
 	for li, l := range n.layers {
-		ts.valAct[li] = growFloats(ts.valAct[li], l.out)
 		ts.bestW[li] = growFloats(ts.bestW[li], len(l.w))
 		ts.bestB[li] = growFloats(ts.bestB[li], len(l.b))
 	}
@@ -232,20 +230,14 @@ func (n *Network) trainValidate(ctx context.Context, x, y [][]float64, epochs in
 	return st, nil
 }
 
-// evalWith computes the mean loss over (x, y) without training, using the
-// scratch's validation buffers — the allocation-free per-epoch validation
-// pass. Summation order matches EvalLoss exactly, so the two agree
-// bit-for-bit on the same weights.
+// evalWith computes the mean loss over (x, y) without training, one row
+// at a time through the scratch's validation forward buffers — the
+// allocation-free per-epoch validation pass. Summation order matches
+// EvalLoss exactly, so the two agree bit-for-bit on the same weights.
 func (n *Network) evalWith(x, y [][]float64, ts *TrainScratch) float64 {
 	var total float64
 	for i := range x {
-		a := x[i]
-		for li, l := range n.layers {
-			out := ts.valAct[li][:l.out]
-			l.forwardInto(a, out)
-			a = out
-		}
-		total += n.lossValue(a, y[i])
+		total += n.lossValue(n.forward(&ts.val, x[i:i+1]), y[i])
 	}
 	return total / float64(len(x))
 }
@@ -293,7 +285,7 @@ func (n *Network) trainBatch(x, y [][]float64, batch []int, ts *TrainScratch) fl
 	// ReLU mask is recovered from them (a > 0 ⟺ z > 0).
 	in := xb
 	for li, l := range n.layers {
-		gemmNT(ts.acts[li][:nb*l.out], in, l.w, l.b, nb, l.out, l.in, l.relu)
+		l.gemmNT(ts.acts[li][:nb*l.out], in, nb)
 		in = ts.acts[li][:nb*l.out]
 	}
 
@@ -419,13 +411,15 @@ func (n *Network) applyGradients(ts *TrainScratch, invBs float64) {
 	}
 }
 
-// gemmNT computes dst = x·wᵀ + bias (x: n×k, w: m×k, dst: n×m, all
-// row-major flat), optionally clamping negatives to zero (fused ReLU).
-// The micro-kernel processes four samples per weight-row pass, so each
+// gemmNT computes the layer over a batch, dst = x·wᵀ + bias (x: n×k,
+// w: m×k, dst: n×m with k = d.in and m = d.out, all row-major flat),
+// clamping negatives to zero on hidden layers (fused ReLU). The
+// micro-kernel processes four samples per weight-row pass, so each
 // 8·k-byte weight row streams from cache once per four samples instead of
 // once per sample — the cache-blocking that makes the mini-batch engine
 // beat the retired per-sample loop on a single core.
-func gemmNT(dst, x, w, bias []float64, n, m, k int, relu bool) {
+func (d *dense) gemmNT(dst, x []float64, n int) {
+	m, k, w, bias, relu := d.out, d.in, d.w, d.b, d.relu
 	s := 0
 	for ; s+4 <= n; s += 4 {
 		x0 := x[(s+0)*k : (s+1)*k]
@@ -494,30 +488,11 @@ func gemmNT(dst, x, w, bias []float64, n, m, k int, relu bool) {
 			d0[o], d1[o], d2[o], d3[o] = c0, c1, c2, c3
 		}
 	}
-	// Remainder rows: one sample at a time with a 4-wide unrolled dot
-	// product — the same summation order as dense.forwardInto.
+	// Remainder rows go through the single-row kernel, so a batch of
+	// fewer than four rows — a one-row Predict included — is bit-identical
+	// to forwardInto.
 	for ; s < n; s++ {
-		xs := x[s*k : (s+1)*k]
-		ds := dst[s*m : (s+1)*m]
-		for o := 0; o < m; o++ {
-			wo := w[o*k : o*k+k]
-			var c0, c1, c2, c3 float64
-			kk := k &^ 3
-			for i := 0; i < kk; i += 4 {
-				c0 += wo[i] * xs[i]
-				c1 += wo[i+1] * xs[i+1]
-				c2 += wo[i+2] * xs[i+2]
-				c3 += wo[i+3] * xs[i+3]
-			}
-			c := bias[o] + c0 + c1 + c2 + c3
-			for i := kk; i < k; i++ {
-				c += wo[i] * xs[i]
-			}
-			if relu && c < 0 {
-				c = 0
-			}
-			ds[o] = c
-		}
+		d.forwardInto(x[s*k:(s+1)*k], dst[s*m:(s+1)*m])
 	}
 }
 
@@ -704,9 +679,7 @@ func axpy2(dst, s0, s1 []float64, v0, v1 float64) {
 
 // dotBiasScalar computes b + w·x with four independent accumulators,
 // breaking the add-latency dependency chain that bounds the naive loop.
-// The summation order is exactly the retired forwardInto loop's (and
-// gemmNT's remainder path's), so single-sample inference stays
-// bit-identical to every engine version since PR 4.
+// Its summation order is the frozen single-row order of forwardInto.
 func dotBiasScalar(w, x []float64, b float64) float64 {
 	w = w[:len(x)]
 	var s0, s1, s2, s3 float64

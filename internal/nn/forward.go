@@ -37,18 +37,19 @@ var forwardScratchPool = sync.Pool{New: func() any { return &ForwardScratch{} }}
 // engine's blocked GEMM kernels, writing sample i's outputs into dst[i]
 // (which must be len Outputs). fs may be nil to borrow pooled scratch.
 //
-// This is the batched inference entry point the fleet recompute path rides:
-// core.Model.PredictBatch and the recommender's drain/recompute calls fan
-// chunks into it, so a whole chunk moves through each layer as one blocked
-// matrix multiply (the bit-reproducible scalar gemmNT) instead of
-// per-sample dot products. Results are deterministic and match Predict
-// within floating-point reassociation (a few ULPs).
+// It is the network's one forward path: Predict is a one-row ForwardBatch,
+// and core.Model's single and batched predictions, the recommender's
+// recomputes, and validation scoring all ride it. Rows in full four-row
+// blocks move through each layer as one blocked matrix multiply, which
+// reassociates their dot products (within a few ULPs of Predict); every
+// other row — any batch of fewer than four, and the last len(xs)%4 rows —
+// takes the single-row kernel and is bit-identical to Predict. Results are
+// deterministic either way.
 func (n *Network) ForwardBatch(xs [][]float64, dst [][]float64, fs *ForwardScratch) error {
 	if len(dst) != len(xs) {
 		return fmt.Errorf("nn: ForwardBatch dst has %d rows, want %d", len(dst), len(xs))
 	}
-	nb := len(xs)
-	if nb == 0 {
+	if len(xs) == 0 {
 		return nil
 	}
 	ins := n.cfg.Inputs
@@ -65,6 +66,19 @@ func (n *Network) ForwardBatch(xs [][]float64, dst [][]float64, fs *ForwardScrat
 		fs = forwardScratchPool.Get().(*ForwardScratch)
 		defer forwardScratchPool.Put(fs)
 	}
+	top := n.forward(fs, xs)
+	for i := range dst {
+		copy(dst[i], top[i*outs:(i+1)*outs])
+	}
+	return nil
+}
+
+// forward gathers already-validated rows into the scratch and runs every
+// layer over them, returning the top layer's activations (len(xs)×Outputs,
+// row-major). The result aliases fs and is valid until its next use.
+func (n *Network) forward(fs *ForwardScratch, xs [][]float64) []float64 {
+	nb := len(xs)
+	ins := n.cfg.Inputs
 	fs.ensure(n, nb)
 	xb := fs.xb[:nb*ins]
 	for i, x := range xs {
@@ -72,12 +86,9 @@ func (n *Network) ForwardBatch(xs [][]float64, dst [][]float64, fs *ForwardScrat
 	}
 	in := xb
 	for li, l := range n.layers {
-		gemmNT(fs.acts[li][:nb*l.out], in, l.w, l.b, nb, l.out, l.in, l.relu)
-		in = fs.acts[li][:nb*l.out]
+		out := fs.acts[li][:nb*l.out]
+		l.gemmNT(out, in, nb)
+		in = out
 	}
-	top := fs.acts[len(n.layers)-1][:nb*outs]
-	for i := range dst {
-		copy(dst[i], top[i*outs:(i+1)*outs])
-	}
-	return nil
+	return in
 }

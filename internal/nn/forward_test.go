@@ -57,6 +57,53 @@ func TestForwardBatchMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestForwardBatchRemainderRowsBitIdentical pins the one-row contract:
+// every row outside a full four-row block — all rows of a batch shorter
+// than four, and the last len%4 rows of a longer one — takes the
+// single-row kernel, so it equals Predict, and a layer-by-layer
+// forwardInto chain, bit for bit.
+func TestForwardBatchRemainderRowsBitIdentical(t *testing.T) {
+	x, y := makeLinearData(7, 6, 3, 17)
+	net, err := New(Config{
+		Inputs: 6, Outputs: 3, Hidden: []int{21, 13},
+		Optimizer: Adam, Loss: MSE, Epochs: 5, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Train(context.Background(), x, y); err != nil {
+		t.Fatal(err)
+	}
+	fs := NewForwardScratch()
+	for nb := 1; nb <= len(x); nb++ {
+		dst := make([][]float64, nb)
+		for i := range dst {
+			dst[i] = make([]float64, 3)
+		}
+		if err := net.ForwardBatch(x[:nb], dst, fs); err != nil {
+			t.Fatal(err)
+		}
+		for s := nb &^ 3; s < nb; s++ {
+			want, err := net.Predict(x[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := x[s]
+			for _, l := range net.layers {
+				out := make([]float64, l.out)
+				l.forwardInto(a, out)
+				a = out
+			}
+			for j := range want {
+				if dst[s][j] != want[j] || a[j] != want[j] {
+					t.Fatalf("batch %d row %d out %d: ForwardBatch %v, Predict %v, forwardInto %v",
+						nb, s, j, dst[s][j], want[j], a[j])
+				}
+			}
+		}
+	}
+}
+
 // TestForwardBatchNilScratch covers the pooled-scratch path chunked fleet
 // recomputes use.
 func TestForwardBatchNilScratch(t *testing.T) {

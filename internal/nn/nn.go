@@ -236,60 +236,23 @@ func New(cfg Config) (*Network, error) {
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Predict runs a forward pass for one sample, returning a fresh slice.
+// Predict runs a forward pass for one sample, returning a fresh slice. It
+// is a one-row ForwardBatch, so it shares the batch path's kernels and
+// pooled scratch: a single row always takes the per-row kernel
+// (dense.forwardInto), whose summation order is frozen.
 func (n *Network) Predict(x []float64) ([]float64, error) {
-	if len(x) != n.cfg.Inputs {
-		return nil, fmt.Errorf("nn: input has %d features, network expects %d", len(x), n.cfg.Inputs)
+	out := make([]float64, n.cfg.Outputs)
+	if err := n.ForwardBatch([][]float64{x}, [][]float64{out}, nil); err != nil {
+		return nil, err
 	}
-	a := x
-	for _, l := range n.layers {
-		out := make([]float64, l.out)
-		l.forwardInto(a, out)
-		a = out
-	}
-	return a, nil
-}
-
-// Scratch holds reusable per-layer activation buffers for allocation-free
-// inference. One Scratch serves any number of sequential PredictInto calls
-// on networks of the same shape; it must not be shared across goroutines.
-type Scratch [][]float64
-
-// NewScratch allocates buffers sized for this network's layers.
-func (n *Network) NewScratch() Scratch {
-	bufs := make(Scratch, len(n.layers))
-	for i, l := range n.layers {
-		bufs[i] = make([]float64, l.out)
-	}
-	return bufs
-}
-
-// PredictInto runs a forward pass writing every layer's activations into
-// scratch and returns the final buffer (valid until the next call). It is
-// the hot inference path for batch prediction: zero allocations per call.
-func (n *Network) PredictInto(x []float64, scratch Scratch) ([]float64, error) {
-	if len(x) != n.cfg.Inputs {
-		return nil, fmt.Errorf("nn: input has %d features, network expects %d", len(x), n.cfg.Inputs)
-	}
-	if len(scratch) != len(n.layers) {
-		return nil, fmt.Errorf("nn: scratch has %d buffers, network has %d layers", len(scratch), len(n.layers))
-	}
-	a := x
-	for li, l := range n.layers {
-		out := scratch[li]
-		if len(out) != l.out {
-			return nil, fmt.Errorf("nn: scratch buffer %d has %d slots, layer needs %d", li, len(out), l.out)
-		}
-		l.forwardInto(a, out)
-		a = out
-	}
-	return a, nil
+	return out, nil
 }
 
 // forwardInto computes the layer output for one sample into out without
-// allocating, through the four-accumulator scalar dot (deterministic,
-// identical in summation order to the mini-batch engine's remainder
-// kernel).
+// allocating, through the four-accumulator scalar dot. It is the one
+// single-row kernel: gemmNT runs every row outside a four-row block
+// through it, and its summation order is frozen, so single-sample
+// inference is bit-identical across engine versions.
 func (d *dense) forwardInto(x, out []float64) {
 	for o := 0; o < d.out; o++ {
 		s := dotBiasScalar(d.row(o), x, d.b[o])
@@ -298,25 +261,6 @@ func (d *dense) forwardInto(x, out []float64) {
 		}
 		out[o] = s
 	}
-}
-
-// PredictBatch runs forward passes for many samples through the batched
-// engine (ForwardBatch): blocked GEMM kernels over pooled scratch instead
-// of a per-sample loop. Results match Predict within floating-point
-// reassociation (a few ULPs) and are deterministic.
-func (n *Network) PredictBatch(xs [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(xs))
-	if len(xs) == 0 {
-		return out, nil
-	}
-	flat := make([]float64, len(xs)*n.cfg.Outputs)
-	for i := range out {
-		out[i] = flat[i*n.cfg.Outputs : (i+1)*n.cfg.Outputs]
-	}
-	if err := n.ForwardBatch(xs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // lossAndGrad returns the per-sample loss and a fresh dL/dpred slice.

@@ -63,16 +63,18 @@ func Optimize(times map[platform.MemorySize]float64, pricing platform.Pricer, tr
 
 	opts := make([]Option, 0, len(times))
 	for m, ms := range times {
-		if ms <= 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
-			return Recommendation{}, fmt.Errorf("optimizer: invalid execution time %v for %v", ms, m)
-		}
-		opts = append(opts, Option{
-			Memory:     m,
-			ExecTimeMs: ms,
-			Cost:       pricing.Cost(m, time.Duration(ms*float64(time.Millisecond))),
-		})
+		opts = append(opts, Option{Memory: m, ExecTimeMs: ms})
 	}
 	sort.Slice(opts, func(i, j int) bool { return opts[i].Memory < opts[j].Memory })
+	// Validate in ascending size order, so the error names the same size on
+	// every run whatever the map's iteration order.
+	for i := range opts {
+		o := &opts[i]
+		if o.ExecTimeMs <= 0 || math.IsNaN(o.ExecTimeMs) || math.IsInf(o.ExecTimeMs, 0) {
+			return Recommendation{}, fmt.Errorf("optimizer: invalid execution time %v for %v", o.ExecTimeMs, o.Memory)
+		}
+		o.Cost = pricing.Cost(o.Memory, time.Duration(o.ExecTimeMs*float64(time.Millisecond)))
+	}
 
 	minCost, minTime := math.Inf(1), math.Inf(1)
 	for _, o := range opts {

@@ -265,3 +265,23 @@ func TestOptimizeSelectsMinimumProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOptimizeInvalidTimeErrorIsDeterministic pins the validation order:
+// with every time invalid, the error must name the smallest size on every
+// call. Validating while ranging over the map named a random size.
+func TestOptimizeInvalidTimeErrorIsDeterministic(t *testing.T) {
+	times := make(map[platform.MemorySize]float64)
+	for _, m := range platform.StandardSizes() {
+		times[m] = math.NaN()
+	}
+	_, err := Optimize(times, platform.DefaultPricing(), 0.75)
+	if err == nil {
+		t.Fatal("all-NaN times accepted")
+	}
+	want := "optimizer: invalid execution time NaN for " + platform.Mem128.String()
+	for i := 0; i < 50; i++ {
+		if _, err := Optimize(times, platform.DefaultPricing(), 0.75); err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
+	}
+}

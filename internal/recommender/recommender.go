@@ -271,7 +271,9 @@ func (s *Service) shardIndex(functionID string) int {
 // Ingest is atomic per function: on any error — including ctx cancellation
 // observed before a triggered recomputation — the function's tracked state
 // is left exactly as it was, so a cut-off recompute never commits a
-// half-updated window.
+// half-updated window. A window that fails monitoring.ValidateWindow is
+// rejected before it is buffered: a bad invocation left in the pending
+// window would fail every later recomputation of the function.
 func (s *Service) Ingest(ctx context.Context, functionID string, invs []monitoring.Invocation) (Status, error) {
 	if functionID == "" {
 		return Status{}, errors.New("recommender: empty function ID")
@@ -281,6 +283,9 @@ func (s *Service) Ingest(ctx context.Context, functionID string, invs []monitori
 	}
 	if err := ctx.Err(); err != nil {
 		return Status{}, fmt.Errorf("recommender: %w", err)
+	}
+	if err := monitoring.ValidateWindow(invs); err != nil {
+		return Status{}, fmt.Errorf("recommender: %s: %w", functionID, err)
 	}
 	sh := &s.shards[s.shardIndex(functionID)]
 	sh.mu.Lock()

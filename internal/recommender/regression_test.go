@@ -3,6 +3,7 @@ package recommender
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -128,6 +129,39 @@ func TestIngestBatchCancellationPreservesJobError(t *testing.T) {
 	for _, want := range []string{"batch ingest cancelled", "recompute cancelled", "solo-fn"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q lost context: missing %q", msg, want)
+		}
+	}
+}
+
+// TestBadInvocationDoesNotWedgeFunction pins the wedge fix: one invocation
+// with a NaN execution time must be rejected on its own. Before the fix it
+// was buffered, every later recompute failed on it, and each failure's
+// rollback restored the poisoned pending window, so no good window could
+// ever produce a recommendation again. The good windows hold 20
+// invocations so that the later ones clear the drift detector's
+// per-window minimum.
+func TestBadInvocationDoesNotWedgeFunction(t *testing.T) {
+	svc, err := New(testModel(t), Config{MinWindow: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	bad := fleetsynth.Window(xrand.New(3), 1, 1)
+	bad[0].Metrics[monitoring.ExecutionTime] = math.NaN()
+	_, err = svc.Ingest(ctx, "fn", bad)
+	if err == nil || !strings.Contains(err.Error(), "invocation 0") {
+		t.Errorf("NaN window: err = %v, want a rejection naming invocation 0", err)
+	}
+	if _, err := svc.Status("fn"); err == nil {
+		t.Error("rejected first window registered the function")
+	}
+	for w := 0; w < 3; w++ {
+		st, err := svc.Ingest(ctx, "fn", fleetsynth.Window(xrand.New(int64(10+w)), 20, 1))
+		if err != nil {
+			t.Fatalf("good window %d after a rejected one: %v", w, err)
+		}
+		if !st.HasRecommendation {
+			t.Fatalf("good window %d: no recommendation", w)
 		}
 	}
 }

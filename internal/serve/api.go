@@ -9,7 +9,9 @@ import (
 // IngestRequest is the POST /v1/ingest body: one monitoring window per
 // function, measured at the service's base memory size. Accepted windows
 // are queued (202) and committed asynchronously by the shard drainers; a
-// request that would overflow any shard queue is rejected whole with 429.
+// request that would overflow any shard queue is rejected whole with 429,
+// and one carrying a window that fails monitoring.ValidateWindow is
+// rejected whole with 400 naming the function and the invocation index.
 type IngestRequest struct {
 	Windows map[string][]monitoring.Invocation `json:"windows"`
 }

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"sizeless"
+	"sizeless/internal/monitoring"
 	"sizeless/internal/pool"
 	"sizeless/internal/recommender"
 )
@@ -401,10 +402,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]job, 0, len(req.Windows))
 	invocations := 0
+	// Admission validates every window so that a bad one is refused with a
+	// 400 naming it, instead of failing later in a drainer. When several
+	// windows are bad, the smallest function ID is reported, so the
+	// response does not depend on map order.
+	badFn, badErr := "", error(nil)
 	for fn, invs := range req.Windows {
 		if fn == "" {
 			writeError(w, http.StatusBadRequest, "empty function ID")
 			return
+		}
+		if err := monitoring.ValidateWindow(invs); err != nil {
+			if badErr == nil || fn < badFn {
+				badFn, badErr = fn, err
+			}
+			continue
 		}
 		if len(invs) == 0 {
 			// Queuing a no-op would burn queue depth; and per the
@@ -414,6 +426,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		invocations += len(invs)
 		jobs = append(jobs, newJob(fn, invs))
+	}
+	if badErr != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("function %q: %v", badFn, badErr))
+		return
 	}
 	if err := s.enqueueBatch(jobs); err != nil {
 		s.rejectedBatches.Add(1)

@@ -332,6 +332,32 @@ func TestServeBatchTooLarge(t *testing.T) {
 	}
 }
 
+// TestServeIngestRejectsInvalidWindow pins ingest admission: a request
+// carrying a window that fails monitoring.ValidateWindow is refused whole
+// with 400, naming the function and the invocation. JSON cannot carry NaN,
+// so 1e308 stands in for a non-finite value.
+func TestServeIngestRejectsInvalidWindow(t *testing.T) {
+	srv, base := startServer(t, Config{})
+	batch := fleetsynth.Batch(6, 30, 9, 1)
+	batch["fleet-fn-0004"][1].Metrics[monitoring.ExecutionTime] = 1e308
+	batch["fleet-fn-0002"][7].Metrics[monitoring.HeapUsed] = 1e308
+	code, body := postJSON(t, base+"/v1/ingest", IngestRequest{Windows: batch})
+	if code != http.StatusBadRequest {
+		t.Fatalf("invalid ingest = %d, want 400: %s", code, body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(er.Error, `"fleet-fn-0002"`) || !strings.Contains(er.Error, "invocation 7") {
+		t.Errorf("error = %q, want it to name fleet-fn-0002 and invocation 7", er.Error)
+	}
+	srv.Drain()
+	if fleet := srv.Service().Fleet(); len(fleet) != 0 {
+		t.Errorf("rejected request committed %d functions", len(fleet))
+	}
+}
+
 // TestServeShutdownDrainsAcceptedWindows pins the graceful-stop contract:
 // windows acknowledged with 202 before the shutdown are committed to the
 // service and captured by the final snapshot, not dropped with the queues.
