@@ -676,11 +676,19 @@ func BenchmarkFleetDrift(b *testing.B) {
 // ---- Adaptive search benchmarks ----
 
 // benchSearchGrid is the 8-configuration selection grid of the search
-// benchmarks — the experiments.SearchGrid the search-scale assertions pin
-// (half the exhaustive epochs, winner within 5%), at a 40-epoch budget
-// (divisible by 4, so the halving schedule lands on whole epochs).
+// benchmarks (the grid BENCH_search.json records): one axis of variation
+// per Table-2 hyperparameter family around the paper's winner, at a
+// 40-epoch budget (divisible by 4, so the halving schedule lands on whole
+// epochs).
 func benchSearchGrid() core.GridSpec {
-	return experiments.SearchGrid(40)
+	return core.GridSpec{
+		Optimizers: []nn.Optimizer{nn.Adam, nn.SGD},
+		Losses:     []nn.Loss{nn.MSE, nn.MAPE},
+		Epochs:     []int{40},
+		Neurons:    []int{32},
+		L2s:        []float64{0, 0.01},
+		Layers:     []int{2},
+	}
 }
 
 func benchSearchBase(b *testing.B) (*dataset.Dataset, core.ModelConfig) {
@@ -730,14 +738,6 @@ func BenchmarkGridSearchHalving(b *testing.B) {
 			b.Fatalf("halving spent %d epochs, more than half of %d", res.TotalEpochs, res.ExhaustiveEpochs)
 		}
 	}
-}
-
-// BenchmarkSearchScale regenerates the search-scale experiment (exhaustive
-// vs halving comparison) at lab scale.
-func BenchmarkSearchScale(b *testing.B) {
-	runExperiment(b, func(ctx context.Context, l *experiments.Lab) (interface{ Render() string }, error) {
-		return experiments.SearchScale(ctx, l)
-	})
 }
 
 // ---- Temporal scenario-generation benchmarks ----

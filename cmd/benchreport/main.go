@@ -10,29 +10,12 @@
 //
 // Experiment ids: fig1 fig3 fig4 fig5 table2 table3 fig6 table4-7 fig7
 // table8 baselines ablation-targets ablation-features ablation-increments
-// transfer transfer-matrix ingest-scale train-scale search-scale
-// scenario-matrix app-matrix.
+// transfer transfer-matrix scenario-matrix app-matrix.
 //
 // "transfer-matrix" goes beyond the paper: it trains a model per built-in
 // provider and scores every source→target pair under the stale, fine-tuned
 // (Predictor.Adapt), and from-scratch strategies — the cross-provider
 // portability quantification of the §5 adaptation workflow.
-//
-// "ingest-scale" measures the concurrent ingestion engine: synthetic-fleet
-// IngestBatch throughput across fleet size × shards × workers, reported as
-// a table with speedups over the single-shard single-worker baseline (the
-// trajectory behind BENCH_ingest.json).
-//
-// "train-scale" measures the mini-batch GEMM training engine: epochs per
-// second across batch sizes (batch 1 degenerates to per-sample updates)
-// plus the frozen-half fine-tune timing (the trajectory behind
-// BENCH_train.json).
-//
-// "search-scale" measures adaptive model selection: the same
-// hyperparameter grid searched exhaustively (every configuration at full
-// budget) and by successive halving (train 1/4 of the budget, keep the
-// best half, double, repeat), compared on winner quality and total epochs
-// spent (the trajectory behind BENCH_search.json).
 //
 // "scenario-matrix" runs the non-stationary scenario lab: stationary,
 // diurnal, spiky, spiky-with-injected-shift, sparse, and trace-replay
@@ -124,15 +107,6 @@ func runners() []experimentRunner {
 		}},
 		{"transfer-matrix", func(ctx context.Context, lab *experiments.Lab) (renderable, error) {
 			return experiments.TransferMatrix(ctx, lab)
-		}},
-		{"ingest-scale", func(ctx context.Context, lab *experiments.Lab) (renderable, error) {
-			return experiments.IngestScale(ctx, lab)
-		}},
-		{"train-scale", func(ctx context.Context, lab *experiments.Lab) (renderable, error) {
-			return experiments.TrainScale(ctx, lab)
-		}},
-		{"search-scale", func(ctx context.Context, lab *experiments.Lab) (renderable, error) {
-			return experiments.SearchScale(ctx, lab)
 		}},
 		{"scenario-matrix", func(ctx context.Context, lab *experiments.Lab) (renderable, error) {
 			return experiments.ScenarioMatrix(ctx, lab)

@@ -394,7 +394,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	providerName := fs.String("provider", platform.AWSLambdaName, "pricing/platform provider (see 'sizeless providers')")
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
 	tradeoff := fs.Float64("t", 0.75, "cost/performance tradeoff in [0,1]")
-	minWindow := fs.Int("minwindow", 0, "invocations required before a function gets a recommendation (0 = service default)")
+	minWindow := fs.Int("minwindow", 0, "invocations required before a function gets a recommendation (0 = service default; at least 20)")
 	shards := fs.Int("shards", 0, "lock shards for the fleet state (0 = service default)")
 	workers := fs.Int("workers", 0, "batch recompute workers (0 = service default)")
 	queueDepth := fs.Int("queue-depth", 256, "max queued+in-flight ingest jobs per shard before 429")

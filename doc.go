@@ -105,9 +105,8 @@
 // function also caches its baseline window's sorted ranks, so a
 // stationary fleet's repeated drift sweeps stop re-sorting the unchanged
 // baseline. BENCH_ingest.json records the measured fleet-ingest
-// throughput of this engine against the seed's sequential pipeline; the
-// "ingest-scale" experiment in cmd/benchreport regenerates the scaling
-// table.
+// throughput of this engine against the seed's sequential pipeline; its
+// description carries the go test -bench command that regenerates it.
 //
 // The deployment posture for all of this is the fleet daemon: "sizeless
 // serve" (internal/serve) exposes ingest/recommend/fleet/status over
@@ -132,8 +131,8 @@
 // its own random stream, so a fixed WithSeed reproduces the same model
 // for any worker count. Frozen layers (Predictor.Adapt) skip backward
 // compute entirely. BENCH_train.json records the engine's ns/epoch and
-// allocs/epoch against the retired per-sample loop; the "train-scale"
-// experiment in cmd/benchreport regenerates the batch-size scaling table.
+// allocs/epoch against the retired per-sample loop; its description
+// carries the go test -bench command that regenerates it.
 //
 // The kernel layer underneath is bit-reproducible: scalar kernels with
 // frozen summation orders, byte-identical serialization, and a 1e-6
@@ -155,8 +154,8 @@
 // budget, keep the best half by validation MSE, double, repeat),
 // spending half the epochs of the exhaustive sweep for a winner within
 // tolerance of the exhaustive one. BENCH_search.json records that
-// trajectory; the "search-scale" experiment in cmd/benchreport
-// regenerates the comparison.
+// trajectory; its description carries the go test -bench command that
+// regenerates it.
 //
 // # Static analysis
 //

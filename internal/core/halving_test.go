@@ -77,6 +77,8 @@ func TestHalvingKeepAllMatchesContinuousExhaustive(t *testing.T) {
 // exhaustive winner's.
 func TestHalvingSpendsHalfAndFindsNearWinner(t *testing.T) {
 	ds := testDataset(t)
+	// A 40-epoch budget is divisible by 4, so the 1/4 → 1/2 → 1 schedule
+	// lands on whole epochs.
 	grid := halvingTestGrid(40)
 	exhaustive, err := GridSearchHalving(context.Background(), ds, halvingBase(), grid,
 		HalvingOptions{KeepAll: true, Seed: 9})

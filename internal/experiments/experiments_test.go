@@ -200,7 +200,7 @@ func TestTable3CrossValidation(t *testing.T) {
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 base sizes", len(res.Rows))
 	}
-	if !res.Recommended.Valid() {
+	if !platform.DefaultConfig().ValidSize(res.Recommended) {
 		t.Errorf("recommended base %v invalid", res.Recommended)
 	}
 	for _, row := range res.Rows {

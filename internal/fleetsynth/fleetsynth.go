@@ -1,9 +1,9 @@
 // Package fleetsynth fabricates synthetic monitoring windows for
-// fleet-scale tests, benchmarks, and the ingest-scale experiment: cheap,
-// deterministic lognormal metric vectors so those harnesses time the
-// ingest pipeline (summarize → drift → predict → optimize) rather than the
-// platform simulator. One definition keeps the bench, the concurrency
-// suite, and benchreport measuring the same workload shape.
+// fleet-scale tests and benchmarks: cheap, deterministic lognormal metric
+// vectors so those harnesses time the ingest pipeline (summarize → drift →
+// predict → optimize) rather than the platform simulator. One definition
+// keeps the benchmarks and the concurrency suite measuring the same
+// workload shape.
 package fleetsynth
 
 import (

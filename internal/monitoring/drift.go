@@ -2,6 +2,7 @@ package monitoring
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"sizeless/internal/stats"
@@ -65,9 +66,13 @@ func (c DriftDetectorConfig) withDefaults() DriftDetectorConfig {
 	return c
 }
 
-// ErrWindowTooSmall is returned when either window has too few samples for
-// the normal-approximation U test to be trustworthy.
-var ErrWindowTooSmall = errors.New("monitoring: drift windows need at least 20 samples each")
+// MinDriftSamples is the fewest samples either drift window may hold: below
+// it the normal-approximation U test is not trustworthy.
+const MinDriftSamples = 20
+
+// ErrWindowTooSmall is returned when either window has fewer than
+// MinDriftSamples samples.
+var ErrWindowTooSmall = fmt.Errorf("monitoring: drift windows need at least %d samples each", MinDriftSamples)
 
 // DetectDrift compares an old and a new observation window of the same
 // function at the same memory size and reports which model-relevant metrics
@@ -80,7 +85,7 @@ var ErrWindowTooSmall = errors.New("monitoring: drift windows need at least 20 s
 // the unchanged baseline on every call.
 func DetectDrift(oldWindow, newWindow []Invocation, cfg DriftDetectorConfig) (DriftReport, error) {
 	cfg = cfg.withDefaults()
-	if len(oldWindow) < 20 || len(newWindow) < 20 {
+	if len(oldWindow) < MinDriftSamples || len(newWindow) < MinDriftSamples {
 		return DriftReport{}, ErrWindowTooSmall
 	}
 	return DetectDriftAgainst(PrepareBaseline(oldWindow, cfg), newWindow, cfg)
@@ -130,7 +135,7 @@ func DetectDriftAgainst(baseline *PreparedBaseline, newWindow []Invocation, cfg 
 		return DriftReport{}, errors.New("monitoring: nil prepared baseline")
 	}
 	cfg = cfg.withDefaults()
-	if baseline.n < 20 || len(newWindow) < 20 {
+	if baseline.n < MinDriftSamples || len(newWindow) < MinDriftSamples {
 		return DriftReport{}, ErrWindowTooSmall
 	}
 	if cap(baseline.scratch) < len(newWindow) {

@@ -11,7 +11,8 @@ type Config struct {
 	// (linear GB-second) or TieredPricing (per-tier bundled rates).
 	Pricing Pricer
 	// Grid is the set of deployable memory sizes. A zero Grid falls back
-	// to the legacy AWS rule (MemorySize.Valid).
+	// to the AWS Lambda grid of the paper's era (128–3008 MB in 64 MB
+	// steps).
 	Grid Grid
 	// ColdStartBase is the platform-side provisioning delay for a new
 	// function instance (sandbox creation + runtime boot), independent of
@@ -44,11 +45,11 @@ func DefaultConfig() Config {
 }
 
 // ValidSize reports whether m is deployable on this platform, honouring
-// the configured grid and falling back to the legacy AWS rule when no grid
-// is set.
+// the configured grid and falling back to the AWS Lambda grid of the
+// paper's era when no grid is set.
 func (c Config) ValidSize(m MemorySize) bool {
 	if c.Grid.IsZero() {
-		return m.Valid()
+		return SteppedGrid(Mem128, Mem3008, 64).Valid(m)
 	}
 	return c.Grid.Valid(m)
 }

@@ -2,25 +2,29 @@ package platform
 
 import "testing"
 
-// FuzzParseMemorySize checks the legacy size parser never panics and that
-// whatever it accepts is grid-valid and round-trips through String().
+// memorySizeSeeds seed both size fuzzers: well-formed sizes, off-grid and
+// out-of-range values, overflow, and trailing garbage ("512MBx", "5 12").
+var memorySizeSeeds = []string{
+	"256", "512MB", "3008MB", "128", "0", "-128", "100",
+	"99999999999999999999", "128.5", "NaNMB", "", "MB", " 512 ",
+	"512MBx", "5 12", "+256",
+}
+
+// FuzzParseMemorySize checks the grid-free size parser never panics and
+// that whatever it accepts is positive and round-trips through String().
 func FuzzParseMemorySize(f *testing.F) {
-	for _, seed := range []string{
-		"256", "512MB", "3008MB", "128", "0", "-128", "100",
-		"99999999999999999999", "128.5", "NaNMB", "", "MB", " 512 ",
-		"512MBx", "5 12", "+256",
-	} {
+	for _, seed := range memorySizeSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ParseMemorySize(s)
+		m, err := parseMemoryValue(s)
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
-		if !m.Valid() {
-			t.Fatalf("ParseMemorySize(%q) = %v, outside the legacy grid", s, m)
+		if m <= 0 {
+			t.Fatalf("parseMemoryValue(%q) = %v, not positive", s, m)
 		}
-		again, err := ParseMemorySize(m.String())
+		again, err := parseMemoryValue(m.String())
 		if err != nil {
 			t.Fatalf("round trip of %v: %v", m, err)
 		}
@@ -33,7 +37,7 @@ func FuzzParseMemorySize(f *testing.F) {
 // FuzzGridParse extends the property to provider grids: any accepted size
 // must be deployable on the grid that accepted it.
 func FuzzGridParse(f *testing.F) {
-	for _, seed := range []string{"768", "4096MB", "1536", "banana", "-5"} {
+	for _, seed := range append([]string{"768", "4096MB", "1536", "banana", "-5"}, memorySizeSeeds...) {
 		f.Add(seed)
 	}
 	grids := []Grid{

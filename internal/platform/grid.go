@@ -9,7 +9,7 @@ import (
 // shapes exist in the wild: stepped ranges (AWS Lambda: 128–3008 MB in
 // 64 MB increments) and discrete tier lists (GCP Cloud Functions gen1:
 // seven fixed tiers). A Grid expresses both; the zero Grid is "unspecified"
-// and callers fall back to the legacy AWS rule.
+// and Config.ValidSize falls back to the AWS Lambda grid of the paper.
 type Grid struct {
 	// Min, Max, Step describe a stepped range. Used when Discrete is nil.
 	Min, Max, Step MemorySize

@@ -67,23 +67,13 @@ func (m MemorySize) GB() float64 { return float64(m) / 1024 }
 // MB returns the size in megabytes as a float.
 func (m MemorySize) MB() float64 { return float64(m) }
 
-// Valid reports whether the size is deployable on the AWS Lambda grid of
-// the paper's era (128..3008 MB in 64 MB steps).
-//
-// Deprecated: validity is platform-specific; use Provider.Grid().Valid (or
-// Config.ValidSize) so non-AWS grids are honoured. Valid remains as the
-// legacy rule for callers that predate the provider abstraction.
-func (m MemorySize) Valid() bool {
-	return m >= 128 && m <= 3008 && m%64 == 0
-}
-
 // String implements fmt.Stringer.
 func (m MemorySize) String() string { return fmt.Sprintf("%dMB", int(m)) }
 
 // parseMemoryValue parses "512" or "512MB" into a size without any grid
 // validation. The whole string must be consumed: trailing garbage after
 // the number or unit ("512MBx", "5 12") is rejected rather than silently
-// truncated (fuzzed by FuzzParseMemorySize).
+// truncated (fuzzed by FuzzParseMemorySize and FuzzGridParse).
 func parseMemoryValue(s string) (MemorySize, error) {
 	t := strings.TrimSpace(s)
 	t = strings.TrimSuffix(t, "MB")
@@ -96,23 +86,6 @@ func parseMemoryValue(s string) (MemorySize, error) {
 		return 0, fmt.Errorf("platform: non-positive memory size %d", v)
 	}
 	return MemorySize(v), nil
-}
-
-// ParseMemorySize parses strings like "512" or "512MB" and validates the
-// result against the legacy AWS grid.
-//
-// Deprecated: grid membership is platform-specific; use Grid.Parse to
-// validate against a specific provider's grid instead. ParseMemorySize
-// remains for callers that predate the provider abstraction.
-func ParseMemorySize(s string) (MemorySize, error) {
-	m, err := parseMemoryValue(s)
-	if err != nil {
-		return 0, err
-	}
-	if !m.Valid() {
-		return 0, fmt.Errorf("platform: invalid memory size %d (want 128..3008 in 64MB steps)", int(m))
-	}
-	return m, nil
 }
 
 // Nearest returns the size in candidates closest to m, preferring the

@@ -34,12 +34,14 @@ func TestAllSizes64MB(t *testing.T) {
 		t.Errorf("range = [%v, %v], want [128MB, 3008MB]", sizes[0], sizes[len(sizes)-1])
 	}
 	for _, s := range sizes {
-		if !s.Valid() {
+		if !DefaultConfig().ValidSize(s) {
 			t.Errorf("size %v should be valid", s)
 		}
 	}
 }
 
+// TestMemorySizeValid pins the zero-grid fallback of Config.ValidSize:
+// the AWS Lambda grid of the paper's era, 128..3008 MB in 64 MB steps.
 func TestMemorySizeValid(t *testing.T) {
 	tests := []struct {
 		m    MemorySize
@@ -48,26 +50,28 @@ func TestMemorySizeValid(t *testing.T) {
 		{128, true}, {3008, true}, {1024, true},
 		{64, false}, {127, false}, {3072, false}, {130, false}, {0, false},
 	}
+	var c Config
 	for _, tt := range tests {
-		if got := tt.m.Valid(); got != tt.want {
-			t.Errorf("%v.Valid() = %v, want %v", tt.m, got, tt.want)
+		if got := c.ValidSize(tt.m); got != tt.want {
+			t.Errorf("Config{}.ValidSize(%v) = %v, want %v", tt.m, got, tt.want)
 		}
 	}
 }
 
 func TestParseMemorySize(t *testing.T) {
+	aws := AWSLambda().Grid()
 	for _, s := range []string{"512", "512MB"} {
-		m, err := ParseMemorySize(s)
+		m, err := aws.Parse(s)
 		if err != nil {
-			t.Fatalf("ParseMemorySize(%q): %v", s, err)
+			t.Fatalf("Parse(%q): %v", s, err)
 		}
 		if m != Mem512 {
-			t.Errorf("ParseMemorySize(%q) = %v, want 512MB", s, m)
+			t.Errorf("Parse(%q) = %v, want 512MB", s, m)
 		}
 	}
 	for _, s := range []string{"abc", "-12", "100"} {
-		if _, err := ParseMemorySize(s); err == nil {
-			t.Errorf("ParseMemorySize(%q) should error", s)
+		if _, err := aws.Parse(s); err == nil {
+			t.Errorf("Parse(%q) should error", s)
 		}
 	}
 }

@@ -108,11 +108,10 @@ func TestGridParse(t *testing.T) {
 
 	gcp := GCPCloudFunctions().Grid()
 	if m, err := gcp.Parse("4096MB"); err != nil || m != 4096 {
-		t.Errorf("gcp.Parse(4096MB) = (%v, %v), want 4096MB — ParseMemorySize would reject it", m, err)
+		t.Errorf("gcp.Parse(4096MB) = (%v, %v), want 4096MB — the AWS grid would reject it", m, err)
 	}
-	// The legacy AWS parser still enforces the AWS rule.
-	if _, err := ParseMemorySize("4096"); err == nil {
-		t.Error("ParseMemorySize must keep rejecting sizes above 3008MB")
+	if _, err := AWSLambda().Grid().Parse("4096"); err == nil {
+		t.Error("the AWS grid must reject sizes above 3008MB")
 	}
 }
 
@@ -244,10 +243,10 @@ func TestProviderResourceCurvesDiffer(t *testing.T) {
 }
 
 func TestConfigValidSize(t *testing.T) {
-	// Zero grid falls back to the legacy AWS rule.
+	// Zero grid falls back to the paper-era AWS grid.
 	var c Config
 	if !c.ValidSize(3008) || c.ValidSize(4096) {
-		t.Error("zero-grid Config should apply the legacy AWS rule")
+		t.Error("zero-grid Config should apply the AWS grid")
 	}
 	gcp := GCPCloudFunctions().Platform()
 	if !gcp.ValidSize(4096) || gcp.ValidSize(3008) {

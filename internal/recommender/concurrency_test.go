@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,8 +19,7 @@ import (
 )
 
 // Windows and batches come from internal/fleetsynth — the shared
-// synthetic-fleet fabricator also used by the ingest benchmarks and the
-// benchreport ingest-scale experiment.
+// synthetic-fleet fabricator also used by the ingest benchmarks.
 
 // TestParallelMixedOperations hammers one Service with concurrent Ingest,
 // IngestBatch, Status, Fleet, and Summarize calls. Run under -race in CI;
@@ -271,27 +272,26 @@ func TestIngestBatchCancellationPartialResults(t *testing.T) {
 }
 
 // TestIngestBatchPerFunctionErrorDoesNotStopBatch feeds one poisoned
-// function (empty window at the recompute boundary is fine — use a window
-// that trips the drift detector's minimum instead) alongside healthy ones.
+// function — a window with a NaN invocation, which ValidateWindow rejects —
+// alongside healthy ones.
 func TestIngestBatchPerFunctionErrorDoesNotStopBatch(t *testing.T) {
-	svc, err := New(testModel(t), Config{MinWindow: 10})
+	svc, err := New(testModel(t), Config{MinWindow: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	healthy := fleetsynth.Batch(6, 40, 45, 1)
-	// Establish recommendations so the next window runs the drift
-	// detector, then poison one function with a window below the drift
-	// detector's 20-sample minimum.
+	// Establish recommendations so the poisoned function is already
+	// tracked, then poison one invocation of its next window.
 	if _, err := svc.IngestBatch(ctx, healthy); err != nil {
 		t.Fatal(err)
 	}
 	second := fleetsynth.Batch(6, 40, 46, 1)
 	poisonID := "fleet-fn-0003"
-	second[poisonID] = second[poisonID][:12]
+	second[poisonID][7].Metrics[monitoring.ExecutionTime] = math.NaN()
 	out, err := svc.IngestBatch(ctx, second)
-	if err == nil {
-		t.Fatal("poisoned function should surface an error")
+	if err == nil || !strings.Contains(err.Error(), "invocation 7") {
+		t.Fatalf("poisoned function: err = %v, want a rejection naming invocation 7", err)
 	}
 	if len(out) != len(second)-1 {
 		t.Errorf("healthy functions ingested: %d, want %d", len(out), len(second)-1)

@@ -43,15 +43,15 @@ import (
 
 // Config tunes the service.
 type Config struct {
-	// Tradeoff is the §3.5 t parameter (default 0.75, the paper's
-	// recommended balanced setting). Zero means "unset" unless
-	// TradeoffSet is true — t = 0 (pure performance) is a valid setting.
-	Tradeoff float64
-	// TradeoffSet marks Tradeoff as explicit, allowing t = 0.
-	TradeoffSet bool
+	// Tradeoff is the §3.5 t parameter. nil means the default 0.75, the
+	// paper's recommended balanced setting; a non-nil 0 is pure
+	// performance.
+	Tradeoff *float64
 	// MinWindow is the minimum number of invocations before the first
 	// recommendation (default 100 — ~10 minutes at modest traffic, the
-	// §3.3 stability horizon).
+	// §3.3 stability horizon). A non-zero MinWindow must be at least
+	// monitoring.MinDriftSamples: a first recommendation from a smaller
+	// window leaves a baseline the drift detector always rejects.
 	MinWindow int
 	// Drift configures the §5 workload-shift detector.
 	Drift monitoring.DriftDetectorConfig
@@ -68,9 +68,12 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if !c.TradeoffSet && c.Tradeoff <= 0 {
-		c.Tradeoff = 0.75
+	// Copy the tradeoff so the caller's variable cannot change it later.
+	t := 0.75
+	if c.Tradeoff != nil {
+		t = *c.Tradeoff
 	}
+	c.Tradeoff = &t
 	if c.MinWindow <= 0 {
 		c.MinWindow = 100
 	}
@@ -84,15 +87,17 @@ func (c Config) withDefaults() Config {
 }
 
 // validate rejects configurations that could only fail later, at the first
-// recomputation. An out-of-range tradeoff is the dangerous one: it passes
+// recomputation or drift check. An out-of-range tradeoff passes
 // construction and every sub-MinWindow ingest, then fails inside
 // optimizer.Optimize once a window is large enough — and because the failed
 // ingest rolls back, every subsequent ingest replays the same doomed
-// recompute, permanently poisoning the function. Failing at New turns that
-// runtime poison into a construction-time error.
+// recompute, permanently poisoning the function. A MinWindow below the
+// drift detector's sample minimum does the same one step later: the first
+// recommendation keeps a baseline every drift check rejects. Failing at
+// New turns that runtime poison into a construction-time error.
 func (c Config) validate() error {
-	if c.Tradeoff < 0 || c.Tradeoff > 1 {
-		return fmt.Errorf("recommender: tradeoff %v outside [0,1]", c.Tradeoff)
+	if t := c.Tradeoff; t != nil && (*t < 0 || *t > 1) {
+		return fmt.Errorf("recommender: tradeoff %v outside [0,1]", *t)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("recommender: negative worker count %d", c.Workers)
@@ -102,6 +107,10 @@ func (c Config) validate() error {
 	}
 	if c.MinWindow < 0 {
 		return fmt.Errorf("recommender: negative min window %d", c.MinWindow)
+	}
+	if c.MinWindow > 0 && c.MinWindow < monitoring.MinDriftSamples {
+		return fmt.Errorf("recommender: min window %d below the drift detector's %d-sample minimum",
+			c.MinWindow, monitoring.MinDriftSamples)
 	}
 	return nil
 }
@@ -165,8 +174,9 @@ type Service struct {
 
 // New creates a Service over a trained model. Ingested windows must be
 // collected at the model's base memory size. The configuration is validated
-// up front — an out-of-range tradeoff or a negative shard/worker count is
-// rejected here rather than surfacing at the first recomputation.
+// up front — an out-of-range tradeoff, a MinWindow below the drift
+// detector's minimum, or a negative shard/worker count is rejected here
+// rather than surfacing at the first recomputation or drift check.
 func New(model *core.Model, cfg Config) (*Service, error) {
 	if model == nil {
 		return nil, errors.New("recommender: nil model")
@@ -400,7 +410,7 @@ func (s *Service) recomputeLocked(ctx context.Context, st *functionState, shifte
 	if err != nil {
 		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
 	}
-	rec, err := optimizer.Optimize(times, s.cfg.Pricing, s.cfg.Tradeoff)
+	rec, err := optimizer.Optimize(times, s.cfg.Pricing, *s.cfg.Tradeoff)
 	if err != nil {
 		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
 	}
@@ -561,7 +571,7 @@ func (s *Service) RecommendBatch(ctx context.Context, summaries []monitoring.Sum
 	}
 	out := make([]optimizer.Recommendation, len(times))
 	for i, t := range times {
-		rec, err := optimizer.Optimize(t, s.cfg.Pricing, s.cfg.Tradeoff)
+		rec, err := optimizer.Optimize(t, s.cfg.Pricing, *s.cfg.Tradeoff)
 		if err != nil {
 			return nil, fmt.Errorf("recommender: summary %d: %w", i, err)
 		}

@@ -129,7 +129,7 @@ func TestInitialRecommendationAfterMinWindow(t *testing.T) {
 	if !st.HasRecommendation {
 		t.Fatal("no recommendation after MinWindow")
 	}
-	if !st.Recommendation.Best.Valid() {
+	if !platform.DefaultConfig().ValidSize(st.Recommendation.Best) {
 		t.Errorf("invalid recommendation %v", st.Recommendation.Best)
 	}
 	if st.Recomputations != 0 {
@@ -339,15 +339,15 @@ func TestServiceWithTieredPricing(t *testing.T) {
 	if !st.HasRecommendation {
 		t.Fatal("expected a recommendation")
 	}
-	if !st.Recommendation.Best.Valid() {
+	if !platform.DefaultConfig().ValidSize(st.Recommendation.Best) {
 		t.Errorf("recommendation %v invalid", st.Recommendation.Best)
 	}
 }
 
 func TestExplicitZeroTradeoff(t *testing.T) {
-	// t = 0 (pure performance) must survive defaulting when marked
-	// explicit, and must default to 0.75 when not.
-	svc, err := New(testModel(t), Config{Tradeoff: 0, TradeoffSet: true})
+	// t = 0 (pure performance) must survive defaulting when set, and a
+	// nil Tradeoff must default to 0.75.
+	svc, err := New(testModel(t), Config{Tradeoff: tradeoff(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

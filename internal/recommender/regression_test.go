@@ -76,11 +76,14 @@ func TestConfigValidationAtConstruction(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"tradeoff above one", Config{Tradeoff: 1.5}, "tradeoff"},
-		{"negative tradeoff", Config{Tradeoff: -0.1}, "tradeoff"},
+		{"tradeoff above one", Config{Tradeoff: tradeoff(1.5)}, "tradeoff"},
+		{"negative tradeoff", Config{Tradeoff: tradeoff(-0.1)}, "tradeoff"},
 		{"negative workers", Config{Workers: -1}, "worker"},
 		{"negative shards", Config{Shards: -2}, "shard"},
 		{"negative min window", Config{MinWindow: -5}, "window"},
+		// A first recommendation from 10 invocations would leave a
+		// baseline every later drift check rejects as too small.
+		{"min window below drift minimum", Config{MinWindow: 10}, "drift"},
 	}
 	for _, tc := range bad {
 		if _, err := New(model, tc.cfg); err == nil {
@@ -90,18 +93,24 @@ func TestConfigValidationAtConstruction(t *testing.T) {
 		}
 	}
 
-	// The boundaries are valid: t = 1 (pure cost), and t = 0 when explicit.
-	if _, err := New(model, Config{Tradeoff: 1}); err != nil {
+	// The boundaries are valid: t = 1 (pure cost), t = 0 (pure
+	// performance), and a MinWindow at the drift minimum.
+	if _, err := New(model, Config{Tradeoff: tradeoff(1)}); err != nil {
 		t.Errorf("tradeoff 1.0 rejected: %v", err)
 	}
-	svc, err := New(model, Config{TradeoffSet: true})
+	svc, err := New(model, Config{Tradeoff: tradeoff(0)})
 	if err != nil {
 		t.Fatalf("explicit tradeoff 0.0 rejected: %v", err)
 	}
-	if svc.cfg.Tradeoff != 0 {
-		t.Errorf("explicit t=0 became %v", svc.cfg.Tradeoff)
+	if *svc.cfg.Tradeoff != 0 {
+		t.Errorf("explicit t=0 became %v", *svc.cfg.Tradeoff)
+	}
+	if _, err := New(model, Config{MinWindow: monitoring.MinDriftSamples}); err != nil {
+		t.Errorf("MinWindow %d rejected: %v", monitoring.MinDriftSamples, err)
 	}
 }
+
+func tradeoff(t float64) *float64 { return &t }
 
 // TestIngestBatchCancellationPreservesJobError pins the error-wrapping
 // fix: when a batch is cut off mid-recompute, the returned error must keep
@@ -141,7 +150,7 @@ func TestIngestBatchCancellationPreservesJobError(t *testing.T) {
 // invocations so that the later ones clear the drift detector's
 // per-window minimum.
 func TestBadInvocationDoesNotWedgeFunction(t *testing.T) {
-	svc, err := New(testModel(t), Config{MinWindow: 10})
+	svc, err := New(testModel(t), Config{MinWindow: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

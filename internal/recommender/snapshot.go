@@ -58,7 +58,9 @@ func (s *Service) Export() []FunctionSnapshot {
 // Import rebuilds per-function state from an Export, in order — the restore
 // half of the serve daemon's snapshot cycle. It may only be called on a
 // service that is not tracking anything yet: restoring over live state
-// would silently merge two fleets.
+// would silently merge two fleets. Every baseline and pending window must
+// pass monitoring.ValidateWindow, exactly as an ingested one would, and
+// nothing is imported unless every function passes.
 //
 // The imported service reproduces the exported one exactly: Fleet returns
 // byte-identical statuses in the same first-seen order, and the next drift
@@ -82,6 +84,12 @@ func (s *Service) Import(fns []FunctionSnapshot) error {
 		seen[id] = true
 		if fn.Status.HasRecommendation && len(fn.Baseline) == 0 {
 			return fmt.Errorf("recommender: import: %s: recommendation without a baseline window", id)
+		}
+		if err := monitoring.ValidateWindow(fn.Baseline); err != nil {
+			return fmt.Errorf("recommender: import: %s: baseline: %w", id, err)
+		}
+		if err := monitoring.ValidateWindow(fn.Pending); err != nil {
+			return fmt.Errorf("recommender: import: %s: pending: %w", id, err)
 		}
 	}
 	for _, fn := range fns {

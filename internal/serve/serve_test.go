@@ -15,6 +15,7 @@ import (
 	"sizeless"
 	"sizeless/internal/fleetsynth"
 	"sizeless/internal/monitoring"
+	"sizeless/internal/platform"
 )
 
 // The shared predictor/dataset are trained once: every daemon test only
@@ -228,7 +229,7 @@ func TestServeRecommendEndpoint(t *testing.T) {
 		t.Fatalf("%d recommendations, want 2", len(out.Recommendations))
 	}
 	for i, rec := range out.Recommendations {
-		if !rec.Best.Valid() {
+		if !platform.DefaultConfig().ValidSize(rec.Best) {
 			t.Errorf("recommendation %d has no valid best size: %+v", i, rec)
 		}
 	}

@@ -144,7 +144,9 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 // input is rejected with the offending line number; a payload whose CRC
 // disagrees with the trailer is rejected outright.
 func ReadSnapshot(r io.Reader) (*SnapshotData, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	// ReadBytes returns whole lines of any length; the default buffer size
+	// is enough for the multi-kilobyte model and function lines.
+	br := bufio.NewReader(r)
 	line := 0
 	next := func() ([]byte, error) {
 		line++
@@ -186,7 +188,9 @@ func ReadSnapshot(r io.Reader) (*SnapshotData, error) {
 		return nil, fmt.Errorf("serve: snapshot: line 2: model is not valid JSON")
 	}
 
-	fns := make([]recommender.FunctionSnapshot, 0, head.Functions)
+	// The header count is untrusted: it bounds the loop, which stops at the
+	// first missing line, but it must not size an allocation.
+	var fns []recommender.FunctionSnapshot
 	for i := 0; i < head.Functions; i++ {
 		fb, err := next()
 		if err != nil {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
 
 	"sizeless"
 	"sizeless/internal/fleetsynth"
+	"sizeless/internal/monitoring"
+	"sizeless/internal/recommender"
 )
 
 // newSnapshotServer builds an un-Run daemon with a populated fleet: eight
@@ -148,6 +152,9 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 	}
 
 	corrupt("empty input", nil, "line 1")
+	corrupt("absurd function count",
+		[]byte(`{"magic":"sizeless-fleet-snapshot","version":1,"functions":4000000000000000000}`+"\n{}\n"),
+		"truncated snapshot")
 	corrupt("bad magic",
 		bytes.Replace(valid, []byte(snapshotMagic), []byte("not-a-snapshot"), 1), "magic")
 	corrupt("future version",
@@ -236,5 +243,60 @@ func TestRestoreRejectsCorruptFileAtStartup(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "truncated") && !strings.Contains(err.Error(), "line") {
 		t.Errorf("startup error %q carries no line context", err)
+	}
+}
+
+// TestRestoreRejectsInvalidWindows: a snapshot with an intact CRC whose
+// windows would fail ingest validation — a metric above 1e15 in a
+// baseline, a negative Duration in a pending window — must fail restore
+// rather than reach fleet state.
+func TestRestoreRejectsInvalidWindows(t *testing.T) {
+	srv := newSnapshotServer(t, t.TempDir()+"/fleet.snap")
+	var buf bytes.Buffer
+	if err := srv.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	lines = lines[:len(lines)-1] // SplitAfter leaves a trailing empty element
+	for _, tc := range []struct {
+		name   string
+		mutate func(*recommender.FunctionSnapshot)
+		want   string
+	}{
+		{"metric above 1e15", func(fn *recommender.FunctionSnapshot) {
+			fn.Baseline[3].Metrics[monitoring.HeapUsed] = 1e16
+		}, "baseline: monitoring: invocation 3"},
+		{"negative duration", func(fn *recommender.FunctionSnapshot) {
+			fn.Pending[0].Duration = -1
+		}, "pending: monitoring: invocation 0"},
+	} {
+		var fn recommender.FunctionSnapshot
+		if err := json.Unmarshal(lines[2], &fn); err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&fn)
+		rec, err := json.Marshal(&fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reseal the payload so only the window validation can object.
+		payload := append([][]byte{lines[1], append(rec, '\n')}, lines[3:len(lines)-1]...)
+		crc := crc32.NewIEEE()
+		for _, l := range payload {
+			crc.Write(l)
+		}
+		tail, err := json.Marshal(snapshotTrailer{Functions: len(payload) - 1, CRC32: fmt.Sprintf("%08x", crc.Sum32())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Join(append(append([][]byte{lines[0]}, payload...), append(tail, '\n')), nil)
+		path := t.TempDir() + "/fleet.snap"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(Config{Predictor: testPredictor(t), SnapshotPath: path, Logf: t.Logf})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }

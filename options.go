@@ -31,8 +31,7 @@ type config struct {
 	hidden      []int
 	epochs      int
 	ensemble    int
-	tradeoff    float64
-	hasTradeoff bool
+	tradeoff    *float64
 	freeze      int
 	hasFreeze   bool
 	ftEpochs    int
@@ -291,14 +290,14 @@ func WithTradeoff(t float64) Option {
 		if t < 0 || t > 1 {
 			return fmt.Errorf("WithTradeoff: %v outside [0,1]", t)
 		}
-		c.tradeoff = t
-		c.hasTradeoff = true
+		c.tradeoff = &t
 		return nil
 	}
 }
 
 // WithMinWindow sets the minimum invocations before the recommendation
-// service issues its first recommendation (default 100).
+// service issues its first recommendation (default 100). NewService
+// rejects a window below the drift detector's 20-sample minimum.
 func WithMinWindow(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {

@@ -408,12 +408,11 @@ func (p *Predictor) NewService(opts ...Option) (*Service, error) {
 		pricing = cfg.provider.Platform().Pricing
 	}
 	rc := recommender.Config{
-		Tradeoff:    cfg.tradeoff,
-		TradeoffSet: cfg.hasTradeoff,
-		MinWindow:   cfg.minWindow,
-		Pricing:     pricing,
-		Workers:     cfg.workers,
-		Shards:      cfg.shards,
+		Tradeoff:  cfg.tradeoff,
+		MinWindow: cfg.minWindow,
+		Pricing:   pricing,
+		Workers:   cfg.workers,
+		Shards:    cfg.shards,
 	}
 	if cfg.hasDrift {
 		rc.Drift = cfg.drift

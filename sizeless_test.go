@@ -11,6 +11,7 @@ import (
 
 	"sizeless"
 	"sizeless/internal/fleetsynth"
+	"sizeless/internal/platform"
 	"sizeless/internal/services"
 	"sizeless/internal/workload"
 )
@@ -117,7 +118,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Best.Valid() {
+	if !platform.DefaultConfig().ValidSize(rec.Best) {
 		t.Errorf("recommended size %v invalid", rec.Best)
 	}
 	if len(rec.Options) != 6 {
