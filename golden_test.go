@@ -1,6 +1,7 @@
 package sizeless_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -13,6 +14,7 @@ import (
 
 	"sizeless"
 	"sizeless/internal/core"
+	"sizeless/internal/experiments"
 	"sizeless/internal/fleetsynth"
 	"sizeless/internal/loadgen"
 	"sizeless/internal/nn"
@@ -35,6 +37,10 @@ const (
 	goldenHalvingWinner = "sgd/mape/[12 12]/16"
 	goldenHalvingValMSE = 2.5805414626949976
 	goldenHalvingSHA    = "ca0f4d4b9916778e0691d55d3264f2afb4c579247b31d93f584ebf663667ebc3"
+	goldenDatasetCSVSHA = "fea5fe8f3021ce96d0b6d57e218a51553e8d796688ff1fbec8defe382bad079d"
+	goldenMotivatingSHA = "4f986b7f0d47ae9c8af5fa0c46311c4893d47952adf45eab6e6d21d5acdf1ac0"
+	goldenAppMatrixSHA  = "c7b07245a0a61723f3a21278d1d806f64e608a2d1a22d0189163487242b85bd1"
+	goldenCaseStudySHA  = "ab8f7319731e228968812eb0149b3d0936a6ac3f7e86c8ec64c20c74c25df6bf"
 )
 
 // goldenColdFractions are the exact ColdFraction values for the golden
@@ -63,6 +69,68 @@ func goldenTrainSet(t *testing.T) *sizeless.Dataset {
 		t.Fatal(err)
 	}
 	return train
+}
+
+func TestGoldenDatasetCSVPerSeed(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenTrainSet(t).WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(buf.Bytes()); got != goldenDatasetCSVSHA {
+		t.Errorf("dataset CSV sha256 = %s, want %s", got, goldenDatasetCSVSHA)
+	}
+}
+
+// TestGoldenMotivatingPerSeed pins the rendered Fig. 1 sweep.
+func TestGoldenMotivatingPerSeed(t *testing.T) {
+	res, err := experiments.MotivatingExample(context.Background(), experiments.NewLab(experiments.SmallScale()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex([]byte(res.Render())); got != goldenMotivatingSHA {
+		t.Errorf("MotivatingExample render sha256 = %s, want %s", got, goldenMotivatingSHA)
+	}
+}
+
+// TestGoldenAppMatrixPerSeed pins the rendered app matrix over the three
+// built-in providers.
+func TestGoldenAppMatrixPerSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("app matrix measures every case-study function on three providers")
+	}
+	res, err := experiments.AppMatrix(context.Background(), experiments.NewLab(experiments.SmallScale()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex([]byte(res.Render())); got != goldenAppMatrixSHA {
+		t.Errorf("AppMatrix render sha256 = %s, want %s", got, goldenAppMatrixSHA)
+	}
+}
+
+// TestGoldenCaseStudiesPerSeed pins the repeated case-study measurements
+// that Fig. 6 and Tables 4–8 predict against: every function's summary at
+// every size, in app and declaration order.
+func TestGoldenCaseStudiesPerSeed(t *testing.T) {
+	lab := experiments.NewLab(experiments.SmallScale())
+	studies, err := lab.CaseStudies(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, cs := range studies {
+		for i, spec := range cs.App.Functions {
+			for _, m := range lab.Sizes() {
+				raw, err := json.Marshal(goldenCaseSummary(cs, i, m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%s/%s@%v %s\n", cs.App.Name, spec.Name, m, raw)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenCaseStudySHA {
+		t.Errorf("case-study summaries sha256 = %s, want %s", got, goldenCaseStudySHA)
+	}
 }
 
 func TestGoldenPredictorPerSeed(t *testing.T) {
@@ -239,4 +307,9 @@ func TestGoldenFleetSynthPerSeed(t *testing.T) {
 func sha256Hex(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])
+}
+
+// goldenCaseSummary returns the measured summary of the app's i-th function.
+func goldenCaseSummary(cs *experiments.CaseStudy, i int, m sizeless.MemorySize) sizeless.Summary {
+	return cs.Measured[cs.App.Functions[i].Name][m]
 }
