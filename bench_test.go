@@ -312,10 +312,18 @@ func BenchmarkOptimize(b *testing.B) {
 // BenchmarkHarnessMeasure measures one complete (function, size) experiment
 // at reduced duration.
 func BenchmarkHarnessMeasure(b *testing.B) {
-	opts := harness.Options{Rate: 20, Duration: 10 * time.Second, Seed: 6}
+	opts := harness.Options{
+		Rate:     20,
+		Duration: 10 * time.Second,
+		Sizes:    []platform.MemorySize{platform.Mem512},
+		Workers:  1,
+	}
+	specs := []*workload.Spec{benchSpec()}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.Measure(opts, benchSpec(), platform.Mem512, i); err != nil {
+		opts.Seed = 6 + int64(i)
+		if _, err := harness.BuildDataset(ctx, opts, specs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,24 +43,24 @@ func run(args []string) error {
 		MinSegments: *minSeg,
 		MaxSegments: *maxSeg,
 	})
-	fns, err := gen.Generate(*n)
+	specs, err := gen.Generate(*n)
 	if err != nil {
 		return err
 	}
-	for _, fn := range fns {
+	for _, spec := range specs {
 		fmt.Printf("%s  segments=[%s]  hash=%s\n",
-			fn.Spec.Name, strings.Join(fn.Spec.SegmentNames, ","), fn.Hash[:12])
+			spec.Name, strings.Join(spec.SegmentNames, ","), spec.Hash()[:12])
 		fmt.Printf("  heap=%.1fMB code=%.1fMB payload=%.1fKB ops=%d services=%v\n",
-			fn.Spec.BaseHeapMB, fn.Spec.CodeMB, fn.Spec.PayloadKB, len(fn.Spec.Ops), fn.Spec.Services())
+			spec.BaseHeapMB, spec.CodeMB, spec.PayloadKB, len(spec.Ops), spec.Services())
 		if *template {
 			fmt.Println("--- template.yaml ---")
-			fmt.Print(fngen.SAMTemplate(fn, *mem))
+			fmt.Print(fngen.SAMTemplate(spec, *mem))
 		}
 		if *scripts {
 			fmt.Println("--- setup.sh ---")
-			fmt.Print(fngen.SetupScript(fn))
+			fmt.Print(fngen.SetupScript(spec))
 			fmt.Println("--- teardown.sh ---")
-			fmt.Print(fngen.TeardownScript(fn))
+			fmt.Print(fngen.TeardownScript(spec))
 		}
 	}
 	return nil

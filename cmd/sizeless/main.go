@@ -500,23 +500,21 @@ func cmdPlan(ctx context.Context, args []string) error {
 	sizes := provider.DefaultSizes()
 	env := runtime.NewEnvFor(provider.Platform())
 	env.Drift = app.Drift
-	opts := harness.Options{Env: env, Rate: app.Rate, Duration: *duration, Seed: *seed}
 	fmt.Fprintf(os.Stderr, "measuring %s: %d functions × %d sizes on %s...\n",
 		app.Name, len(app.Functions), len(sizes), provider.Name())
-	times := make(map[string]map[platform.MemorySize]float64, len(app.Functions))
-	for _, spec := range app.Functions {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		per := make(map[platform.MemorySize]float64, len(sizes))
-		for _, m := range sizes {
-			sum, err := harness.MeasureRepeated(opts, spec, m)
-			if err != nil {
-				return fmt.Errorf("measuring %s at %v: %w", spec.Name, m, err)
-			}
-			per[m] = sum.Mean[monitoring.ExecutionTime]
-		}
-		times[spec.Name] = per
+	ds, err := harness.BuildDataset(ctx, harness.Options{
+		Env:      env,
+		Rate:     app.Rate,
+		Duration: *duration,
+		Sizes:    sizes,
+		Seed:     *seed,
+	}, app.Functions)
+	if err != nil {
+		return err
+	}
+	times := make(map[string]map[platform.MemorySize]float64, len(ds.Rows))
+	for _, row := range ds.Rows {
+		times[row.FunctionID] = row.ExecTimes()
 	}
 	g, err := app.Graph(times)
 	if err != nil {

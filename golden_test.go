@@ -120,7 +120,7 @@ func TestGoldenCaseStudiesPerSeed(t *testing.T) {
 	for _, cs := range studies {
 		for i, spec := range cs.App.Functions {
 			for _, m := range lab.Sizes() {
-				raw, err := json.Marshal(goldenCaseSummary(cs, i, m))
+				raw, err := json.Marshal(cs.Rows[i].Summaries[m])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,9 +307,4 @@ func TestGoldenFleetSynthPerSeed(t *testing.T) {
 func sha256Hex(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])
-}
-
-// goldenCaseSummary returns the measured summary of the app's i-th function.
-func goldenCaseSummary(cs *experiments.CaseStudy, i int, m sizeless.MemorySize) sizeless.Summary {
-	return cs.Measured[cs.App.Functions[i].Name][m]
 }

@@ -15,7 +15,6 @@ import (
 	"sizeless/internal/monitoring"
 	"sizeless/internal/nn"
 	"sizeless/internal/platform"
-	"sizeless/internal/workload"
 	"sizeless/internal/xrand"
 )
 
@@ -27,18 +26,14 @@ var (
 
 // testDataset measures a small synthetic-function population end-to-end
 // (generate → deploy → load → aggregate) — shared across core tests.
-func testDataset(t *testing.T) *dataset.Dataset {
+func testDataset(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	dsOnce.Do(func() {
 		gen := fngen.New(xrand.New(1234), fngen.Options{})
-		fns, err := gen.Generate(90)
+		specs, err := gen.Generate(90)
 		if err != nil {
 			dsErr = err
 			return
-		}
-		specs := make([]*workload.Spec, len(fns))
-		for i, fn := range fns {
-			specs[i] = fn.Spec
 		}
 		opts := harness.Options{
 			Rate:     10,

@@ -39,6 +39,16 @@ func (r *Row) ExecTimeMs(m platform.MemorySize) (float64, bool) {
 	return s.Mean[monitoring.ExecutionTime], true
 }
 
+// ExecTimes returns the mean execution time at every measured size, in ms
+// — the measured-times map the optimizer and the application planner take.
+func (r *Row) ExecTimes() map[platform.MemorySize]float64 {
+	out := make(map[platform.MemorySize]float64, len(r.Summaries))
+	for m, s := range r.Summaries {
+		out[m] = s.Mean[monitoring.ExecutionTime]
+	}
+	return out
+}
+
 // Dataset is a collection of rows over a fixed memory-size grid.
 type Dataset struct {
 	Sizes []platform.MemorySize

@@ -178,4 +178,13 @@ func TestExecTimeMs(t *testing.T) {
 	if _, ok := ds.Rows[0].ExecTimeMs(platform.MemorySize(192)); ok {
 		t.Error("unmeasured size should report missing")
 	}
+	times := ds.Rows[0].ExecTimes()
+	if len(times) != len(ds.Rows[0].Summaries) {
+		t.Fatalf("ExecTimes has %d sizes, row measured %d", len(times), len(ds.Rows[0].Summaries))
+	}
+	for m := range ds.Rows[0].Summaries {
+		if want, _ := ds.Rows[0].ExecTimeMs(m); times[m] != want {
+			t.Errorf("ExecTimes[%v] = %v, want %v", m, times[m], want)
+		}
+	}
 }

@@ -206,8 +206,8 @@ func AblationIncrements(ctx context.Context, lab *Lab) (*AblationIncrementsResul
 
 	res := &AblationIncrementsResult{}
 	for _, cs := range studies {
-		for _, spec := range cs.App.Functions {
-			pred, err := model.Predict(cs.Measured[spec.Name][base])
+		for _, row := range cs.Rows {
+			pred, err := model.Predict(row.Summaries[base])
 			if err != nil {
 				return nil, err
 			}

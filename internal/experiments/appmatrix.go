@@ -8,7 +8,6 @@ import (
 	"sizeless/internal/apps"
 	"sizeless/internal/dag"
 	"sizeless/internal/harness"
-	"sizeless/internal/monitoring"
 	"sizeless/internal/platform"
 	"sizeless/internal/runtime"
 )
@@ -72,33 +71,22 @@ func AppMatrix(ctx context.Context, lab *Lab, providers ...platform.Provider) (*
 	for _, p := range providers {
 		sizes := p.DefaultSizes()
 		for _, app := range apps.All() {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: app matrix cancelled: %w", err)
-			}
 			env := runtime.NewEnvFor(p.Platform())
 			env.Drift = app.Drift
-			opts := harness.Options{
+			ds, err := harness.BuildDataset(ctx, harness.Options{
 				Env:      env,
 				Rate:     scale.CaseRate,
 				Duration: scale.CaseDuration,
+				Sizes:    sizes,
 				Seed:     scale.Seed + 7,
 				Workers:  scale.Workers,
+			}, app.Functions)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: app matrix measuring %s on %s: %w", app.Name, p.Name(), err)
 			}
-			times := make(map[string]map[platform.MemorySize]float64, len(app.Functions))
-			for _, spec := range app.Functions {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("experiments: app matrix cancelled: %w", err)
-				}
-				per := make(map[platform.MemorySize]float64, len(sizes))
-				for _, m := range sizes {
-					sum, err := harness.MeasureRepeated(opts, spec, m)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: app matrix measuring %s/%s at %v on %s: %w",
-							app.Name, spec.Name, m, p.Name(), err)
-					}
-					per[m] = sum.Mean[monitoring.ExecutionTime]
-				}
-				times[spec.Name] = per
+			times := make(map[string]map[platform.MemorySize]float64, len(ds.Rows))
+			for _, row := range ds.Rows {
+				times[row.FunctionID] = row.ExecTimes()
 			}
 			g, err := app.Graph(times)
 			if err != nil {

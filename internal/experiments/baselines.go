@@ -92,16 +92,13 @@ func BaselineComparison(ctx context.Context, lab *Lab) (*BaselineComparisonResul
 	}
 
 	for _, cs := range studies {
-		for _, spec := range cs.App.Functions {
-			measured, err := cs.MeasuredTimes(spec.Name)
-			if err != nil {
-				return nil, err
-			}
+		for _, row := range cs.Rows {
+			measured := row.ExecTimes()
 			table := baselines.TableMeasurer(measured)
 
 			// Sizeless: predictions from the single monitored size; no
 			// dedicated performance tests.
-			pred, err := model.Predict(cs.Measured[spec.Name][base])
+			pred, err := model.Predict(row.Summaries[base])
 			if err != nil {
 				return nil, err
 			}

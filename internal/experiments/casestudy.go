@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"sizeless/internal/dataset"
 	"sizeless/internal/platform"
 )
 
@@ -65,16 +66,12 @@ func PredictionErrors(ctx context.Context, lab *Lab) (*PredictionErrorResult, er
 			Errors:  make(map[string][]float64, len(cs.App.Functions)),
 		}
 		perTargetSum := make([]float64, len(targets))
-		for _, spec := range cs.App.Functions {
-			sum := cs.Measured[spec.Name][base]
-			pred, err := model.Predict(sum)
+		for _, row := range cs.Rows {
+			pred, err := model.Predict(row.Summaries[base])
 			if err != nil {
-				return nil, fmt.Errorf("experiments: predicting %s/%s: %w", cs.App.Name, spec.Name, err)
+				return nil, fmt.Errorf("experiments: predicting %s/%s: %w", cs.App.Name, row.FunctionID, err)
 			}
-			measured, err := cs.MeasuredTimes(spec.Name)
-			if err != nil {
-				return nil, err
-			}
+			measured := row.ExecTimes()
 			errs := make([]float64, len(targets))
 			for i, m := range targets {
 				errs[i] = math.Abs(pred[m]-measured[m]) / measured[m]
@@ -83,8 +80,8 @@ func PredictionErrors(ctx context.Context, lab *Lab) (*PredictionErrorResult, er
 				grandN++
 				tbl.Mean += errs[i]
 			}
-			tbl.Errors[spec.Name] = errs
-			tbl.FunctionOrder = append(tbl.FunctionOrder, spec.Name)
+			tbl.Errors[row.FunctionID] = errs
+			tbl.FunctionOrder = append(tbl.FunctionOrder, row.FunctionID)
 		}
 		tbl.AllFunctions = make([]float64, len(targets))
 		for i := range targets {
@@ -167,14 +164,19 @@ func CaseStudyPredictions(ctx context.Context, lab *Lab, selections map[string][
 	for _, cs := range studies {
 		wanted := selections[cs.App.Name]
 		for _, fnName := range wanted {
-			measured, err := cs.MeasuredTimes(fnName)
-			if err != nil {
-				return nil, err
+			var row *dataset.Row
+			for i := range cs.Rows {
+				if cs.Rows[i].FunctionID == fnName {
+					row = &cs.Rows[i]
+				}
+			}
+			if row == nil {
+				return nil, fmt.Errorf("experiments: fig6: %s has no function %q", cs.App.Name, fnName)
 			}
 			panel := CaseStudyPrediction{
 				App:         cs.App.Name,
 				Function:    fnName,
-				MeasuredMs:  measured,
+				MeasuredMs:  row.ExecTimes(),
 				PredictedMs: make(map[platform.MemorySize]map[platform.MemorySize]float64, 6),
 			}
 			for _, base := range lab.Sizes() {
@@ -182,7 +184,7 @@ func CaseStudyPredictions(ctx context.Context, lab *Lab, selections map[string][
 				if err != nil {
 					return nil, err
 				}
-				pred, err := model.Predict(cs.Measured[fnName][base])
+				pred, err := model.Predict(row.Summaries[base])
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fig6 %s base %v: %w", fnName, base, err)
 				}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +45,28 @@ func TestScaleByName(t *testing.T) {
 	}
 	if _, err := ScaleByName("huge"); err == nil {
 		t.Error("unknown scale should error")
+	}
+}
+
+// TestMeasuringExperimentsHonourCancellation checks that every experiment
+// measuring a case-study or motivating grid stops on a cancelled context
+// and reports the cancellation.
+func TestMeasuringExperimentsHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	lab := NewLab(SmallScale())
+	runs := map[string]func() error{
+		"CaseStudies": func() error { _, err := lab.CaseStudies(ctx); return err },
+		"AppMatrix":   func() error { _, err := AppMatrix(ctx, lab); return err },
+		"MotivatingExample": func() error {
+			_, err := MotivatingExample(ctx, lab)
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled context: err = %v, want context.Canceled", name, err)
+		}
 	}
 }
 

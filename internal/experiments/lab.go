@@ -11,10 +11,8 @@ import (
 	"sizeless/internal/dataset"
 	"sizeless/internal/fngen"
 	"sizeless/internal/harness"
-	"sizeless/internal/monitoring"
 	"sizeless/internal/platform"
 	"sizeless/internal/runtime"
-	"sizeless/internal/workload"
 	"sizeless/internal/xrand"
 )
 
@@ -118,21 +116,9 @@ func ScaleByName(name string) (Scale, error) {
 // CaseStudy is one measured application.
 type CaseStudy struct {
 	App apps.App
-	// Measured maps function name → memory size → averaged summary.
-	Measured map[string]map[platform.MemorySize]monitoring.Summary
-}
-
-// MeasuredTimes extracts the mean execution times for one function.
-func (c *CaseStudy) MeasuredTimes(fn string) (map[platform.MemorySize]float64, error) {
-	per, ok := c.Measured[fn]
-	if !ok {
-		return nil, fmt.Errorf("experiments: function %q not measured", fn)
-	}
-	out := make(map[platform.MemorySize]float64, len(per))
-	for m, s := range per {
-		out[m] = s.Mean[monitoring.ExecutionTime]
-	}
-	return out, nil
+	// Rows holds each function's averaged summaries at every size of the
+	// lab's grid, aligned with App.Functions.
+	Rows []dataset.Row
 }
 
 // Lab owns the shared experiment state.
@@ -196,14 +182,9 @@ func (l *Lab) Dataset(ctx context.Context) (*dataset.Dataset, error) {
 	if l.ds != nil {
 		return l.ds, nil
 	}
-	gen := fngen.New(xrand.New(l.Scale.Seed+1000), fngen.Options{})
-	fns, err := gen.Generate(l.Scale.TrainFunctions)
+	specs, err := fngen.New(xrand.New(l.Scale.Seed+1000), fngen.Options{}).Generate(l.Scale.TrainFunctions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating functions: %w", err)
-	}
-	specs := make([]*workload.Spec, len(fns))
-	for i, fn := range fns {
-		specs[i] = fn.Spec
 	}
 	ds, err := harness.BuildDataset(ctx, l.harnessOpts(), specs)
 	if err != nil {
@@ -286,7 +267,7 @@ func (l *Lab) Models(ctx context.Context, bases ...platform.MemorySize) ([]*core
 
 // CaseStudies lazily measures the four applications at every memory size
 // with the scale's repetitions, honouring each app's drift. Cancelling ctx
-// stops the campaign between functions.
+// stops the campaign at the next experiment boundary.
 func (l *Lab) CaseStudies(ctx context.Context) ([]*CaseStudy, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -297,33 +278,19 @@ func (l *Lab) CaseStudies(ctx context.Context) ([]*CaseStudy, error) {
 	for _, app := range apps.All() {
 		env := l.newEnv()
 		env.Drift = app.Drift
-		opts := harness.Options{
+		ds, err := harness.BuildDataset(ctx, harness.Options{
 			Env:         env,
 			Rate:        l.Scale.CaseRate,
 			Duration:    l.Scale.CaseDuration,
+			Sizes:       l.Sizes(),
 			Seed:        l.Scale.Seed + 7,
 			Workers:     l.Scale.Workers,
 			Repetitions: l.Scale.Repetitions,
+		}, app.Functions)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: measuring %s: %w", app.Name, err)
 		}
-		cs := &CaseStudy{
-			App:      app,
-			Measured: make(map[string]map[platform.MemorySize]monitoring.Summary, len(app.Functions)),
-		}
-		for _, spec := range app.Functions {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: case studies cancelled: %w", err)
-			}
-			per := make(map[platform.MemorySize]monitoring.Summary, 6)
-			for _, m := range l.Sizes() {
-				sum, err := harness.MeasureRepeated(opts, spec, m)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: measuring %s/%s at %v: %w", app.Name, spec.Name, m, err)
-				}
-				per[m] = sum
-			}
-			cs.Measured[spec.Name] = per
-		}
-		studies = append(studies, cs)
+		studies = append(studies, &CaseStudy{App: app, Rows: ds.Rows})
 	}
 	l.caseStudies = studies
 	return studies, nil

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sizeless/internal/harness"
-	"sizeless/internal/monitoring"
 	"sizeless/internal/platform"
 	"sizeless/internal/services"
 	"sizeless/internal/workload"
@@ -65,31 +64,26 @@ type MotivatingResult struct {
 }
 
 // MotivatingExample measures the four §2 functions across all sizes.
-// Cancelling ctx stops the sweep between measurements.
+// Cancelling ctx stops the sweep at the next experiment boundary.
 func MotivatingExample(ctx context.Context, lab *Lab) (*MotivatingResult, error) {
 	pricing := lab.Pricing()
-	res := &MotivatingResult{
-		Sizes:  lab.Sizes(),
-		Points: make(map[string]map[platform.MemorySize]MotivatingPoint),
+	ds, err := harness.BuildDataset(ctx, lab.harnessOpts(), MotivatingFunctions())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fig1: %w", err)
 	}
-	opts := lab.harnessOpts()
-	for _, spec := range MotivatingFunctions() {
-		per := make(map[platform.MemorySize]MotivatingPoint, len(res.Sizes))
-		for _, m := range res.Sizes {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: fig1 cancelled: %w", err)
-			}
-			sum, _, err := harness.Measure(opts, spec, m, 0)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig1 %s at %v: %w", spec.Name, m, err)
-			}
-			mean := sum.Mean[monitoring.ExecutionTime]
+	res := &MotivatingResult{
+		Sizes:  ds.Sizes,
+		Points: make(map[string]map[platform.MemorySize]MotivatingPoint, len(ds.Rows)),
+	}
+	for _, row := range ds.Rows {
+		per := make(map[platform.MemorySize]MotivatingPoint, len(ds.Sizes))
+		for m, mean := range row.ExecTimes() {
 			per[m] = MotivatingPoint{
 				ExecTimeMs: mean,
 				CostCents:  pricing.Cost(m, time.Duration(mean*float64(time.Millisecond))) * 100,
 			}
 		}
-		res.Points[spec.Name] = per
+		res.Points[row.FunctionID] = per
 	}
 	return res, nil
 }

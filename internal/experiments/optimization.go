@@ -45,20 +45,16 @@ func SelectionRanking(ctx context.Context, lab *Lab) (*SelectionRankingResult, e
 		perApp := make(map[string][]int)
 		for _, cs := range studies {
 			hist := make([]int, len(lab.Sizes()))
-			for _, spec := range cs.App.Functions {
-				pred, err := model.Predict(cs.Measured[spec.Name][base])
+			for _, row := range cs.Rows {
+				pred, err := model.Predict(row.Summaries[base])
 				if err != nil {
-					return nil, fmt.Errorf("experiments: fig7 %s: %w", spec.Name, err)
+					return nil, fmt.Errorf("experiments: fig7 %s: %w", row.FunctionID, err)
 				}
 				rec, err := optimizer.Optimize(pred, pricing, t)
 				if err != nil {
 					return nil, err
 				}
-				measured, err := cs.MeasuredTimes(spec.Name)
-				if err != nil {
-					return nil, err
-				}
-				rank, err := optimizer.Rank(rec.Best, measured, pricing, t)
+				rank, err := optimizer.Rank(rec.Best, row.ExecTimes(), pricing, t)
 				if err != nil {
 					return nil, err
 				}
@@ -151,8 +147,8 @@ func SavingsSpeedup(ctx context.Context, lab *Lab) (*SavingsResult, error) {
 		}
 		for _, tradeoff := range res.Tradeoffs {
 			var cost, speed float64
-			for _, spec := range cs.App.Functions {
-				pred, err := model.Predict(cs.Measured[spec.Name][base])
+			for _, row := range cs.Rows {
+				pred, err := model.Predict(row.Summaries[base])
 				if err != nil {
 					return nil, err
 				}
@@ -160,11 +156,7 @@ func SavingsSpeedup(ctx context.Context, lab *Lab) (*SavingsResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				measured, err := cs.MeasuredTimes(spec.Name)
-				if err != nil {
-					return nil, err
-				}
-				ben, err := optimizer.Benefits(measured, pricing, base, rec.Best)
+				ben, err := optimizer.Benefits(row.ExecTimes(), pricing, base, rec.Best)
 				if err != nil {
 					return nil, err
 				}

@@ -11,7 +11,6 @@ import (
 	"sizeless/internal/harness"
 	"sizeless/internal/monitoring"
 	"sizeless/internal/platform"
-	"sizeless/internal/workload"
 	"sizeless/internal/xrand"
 )
 
@@ -33,8 +32,7 @@ type StabilityResult struct {
 // prefix against the full experiment with Mann-Whitney U.
 func StabilityAnalysis(ctx context.Context, lab *Lab) (*StabilityResult, error) {
 	scale := lab.Scale
-	gen := fngen.New(xrand.New(scale.Seed+2000), fngen.Options{})
-	fns, err := gen.Generate(scale.StabilityFunctions)
+	specs, err := fngen.New(xrand.New(scale.Seed+2000), fngen.Options{}).Generate(scale.StabilityFunctions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig3 generation: %w", err)
 	}
@@ -55,10 +53,6 @@ func StabilityAnalysis(ctx context.Context, lab *Lab) (*StabilityResult, error) 
 	// Multi-start: every function's trace + analysis runs through the
 	// shared worker pool (per-spec derived streams keep the result
 	// bit-identical for any worker count).
-	specs := make([]*workload.Spec, len(fns))
-	for i, fn := range fns {
-		specs[i] = fn.Spec
-	}
 	tOpts := harness.Options{
 		Rate:     scale.Rate,
 		Duration: scale.StabilityDuration,
@@ -73,7 +67,7 @@ func StabilityAnalysis(ctx context.Context, lab *Lab) (*StabilityResult, error) 
 	res := &StabilityResult{
 		Prefixes:    prefixes,
 		Unstable:    harness.UnstableCounts(perFunction, steps),
-		Functions:   len(fns),
+		Functions:   len(specs),
 		StableAfter: make(map[monitoring.MetricID]int, monitoring.NumMetrics),
 	}
 	for id, counts := range res.Unstable {

@@ -69,34 +69,9 @@ func TransferLearning(ctx context.Context, lab *Lab) (*TransferLearningResult, e
 		Workers:  scale.Workers,
 	}
 
-	buildSet := func(n int, seedOffset int64) ([]*workload.Spec, error) {
-		gen := fngen.New(xrand.New(scale.Seed+seedOffset), fngen.Options{})
-		fns, err := gen.Generate(n)
-		if err != nil {
-			return nil, err
-		}
-		specs := make([]*workload.Spec, len(fns))
-		for i, fn := range fns {
-			specs[i] = fn.Spec
-		}
-		return specs, nil
-	}
-
-	adaptN := scale.TrainFunctions / 5
-	if adaptN < 20 {
-		adaptN = 20
-	}
-	testN := scale.TrainFunctions / 4
-	if testN < 30 {
-		testN = 30
-	}
-	adaptSpecs, err := buildSet(adaptN, 5000)
+	adaptSpecs, testSpecs, err := transferCorpora(scale)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: transfer adapt set: %w", err)
-	}
-	testSpecs, err := buildSet(testN, 6000)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: transfer test set: %w", err)
+		return nil, err
 	}
 	adaptDS, err := harness.BuildDataset(ctx, newOpts, adaptSpecs)
 	if err != nil {
@@ -108,8 +83,8 @@ func TransferLearning(ctx context.Context, lab *Lab) (*TransferLearningResult, e
 	}
 
 	res := &TransferLearningResult{
-		AdaptFunctions: adaptN,
-		TestFunctions:  testN,
+		AdaptFunctions: len(adaptSpecs),
+		TestFunctions:  len(testSpecs),
 	}
 	if res.Stale, err = core.Evaluate(orig, testDS); err != nil {
 		return nil, err
@@ -131,6 +106,22 @@ func TransferLearning(ctx context.Context, lab *Lab) (*TransferLearningResult, e
 		return nil, err
 	}
 	return res, nil
+}
+
+// transferCorpora generates the two target-platform corpora both transfer
+// experiments measure: a small adaptation corpus (a fifth of the training
+// population, at least 20 functions) and a held-out test corpus (a
+// quarter, at least 30), each from its own seed.
+func transferCorpora(scale Scale) (adapt, test []*workload.Spec, err error) {
+	adapt, err = fngen.New(xrand.New(scale.Seed+5000), fngen.Options{}).Generate(max(scale.TrainFunctions/5, 20))
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: transfer adapt set: %w", err)
+	}
+	test, err = fngen.New(xrand.New(scale.Seed+6000), fngen.Options{}).Generate(max(scale.TrainFunctions/4, 30))
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: transfer test set: %w", err)
+	}
+	return adapt, test, nil
 }
 
 // Render prints A5.

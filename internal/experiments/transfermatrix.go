@@ -10,7 +10,6 @@ import (
 	"sizeless/internal/dataset"
 	"sizeless/internal/fngen"
 	"sizeless/internal/harness"
-	"sizeless/internal/monitoring"
 	"sizeless/internal/optimizer"
 	"sizeless/internal/platform"
 	"sizeless/internal/pool"
@@ -102,40 +101,15 @@ func TransferMatrix(ctx context.Context, lab *Lab, providers ...platform.Provide
 	base := platform.Nearest(platform.Mem256, shared)
 	scale := lab.Scale
 
-	adaptN := scale.TrainFunctions / 5
-	if adaptN < 20 {
-		adaptN = 20
-	}
-	testN := scale.TrainFunctions / 4
-	if testN < 30 {
-		testN = 30
-	}
-
 	// One synthetic-function population per role, shared across providers:
 	// the catalog is platform-independent, only the measurements differ.
-	buildSpecs := func(n int, seedOffset int64) ([]*workload.Spec, error) {
-		gen := fngen.New(xrand.New(scale.Seed+seedOffset), fngen.Options{})
-		fns, err := gen.Generate(n)
-		if err != nil {
-			return nil, err
-		}
-		specs := make([]*workload.Spec, len(fns))
-		for i, fn := range fns {
-			specs[i] = fn.Spec
-		}
-		return specs, nil
-	}
-	trainSpecs, err := buildSpecs(scale.TrainFunctions, 1000)
+	trainSpecs, err := fngen.New(xrand.New(scale.Seed+1000), fngen.Options{}).Generate(scale.TrainFunctions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: transfer-matrix train specs: %w", err)
 	}
-	adaptSpecs, err := buildSpecs(adaptN, 5000)
+	adaptSpecs, testSpecs, err := transferCorpora(scale)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: transfer-matrix adapt specs: %w", err)
-	}
-	testSpecs, err := buildSpecs(testN, 6000)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: transfer-matrix test specs: %w", err)
+		return nil, err
 	}
 
 	modelCfg := core.DefaultModelConfig(base)
@@ -202,8 +176,8 @@ func TransferMatrix(ctx context.Context, lab *Lab, providers ...platform.Provide
 		Sizes:          shared,
 		Base:           base,
 		TrainFunctions: scale.TrainFunctions,
-		AdaptFunctions: adaptN,
-		TestFunctions:  testN,
+		AdaptFunctions: len(adaptSpecs),
+		TestFunctions:  len(testSpecs),
 		Tradeoff:       tradeoff,
 	}
 	for _, s := range sets {
@@ -276,10 +250,7 @@ func costRegret(m *core.Model, ds *dataset.Dataset, pricing platform.Pricer, tra
 		if !ok {
 			return 0, fmt.Errorf("row %q missing base size %v", row.FunctionID, base)
 		}
-		measured := make(map[platform.MemorySize]float64, len(row.Summaries))
-		for mem, s := range row.Summaries {
-			measured[mem] = s.Mean[monitoring.ExecutionTime]
-		}
+		measured := row.ExecTimes()
 		oracle, err := optimizer.Optimize(measured, pricing, tradeoff)
 		if err != nil {
 			return 0, err

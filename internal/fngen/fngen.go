@@ -18,14 +18,6 @@ import (
 	"sizeless/internal/xrand"
 )
 
-// Function is one generated synthetic function.
-type Function struct {
-	// Spec is the executable workload description.
-	Spec *workload.Spec
-	// Hash is the behaviour hash used for deduplication.
-	Hash string
-}
-
 // Options configures generation.
 type Options struct {
 	// MinSegments/MaxSegments bound how many segments a function combines.
@@ -75,8 +67,8 @@ func New(rng *xrand.Stream, opts Options) *Generator {
 var ErrExhausted = errors.New("fngen: could not generate a unique function")
 
 // Generate produces n unique functions.
-func (g *Generator) Generate(n int) ([]Function, error) {
-	out := make([]Function, 0, n)
+func (g *Generator) Generate(n int) ([]*workload.Spec, error) {
+	out := make([]*workload.Spec, 0, n)
 	for i := 0; i < n; i++ {
 		fn, err := g.GenerateOne()
 		if err != nil {
@@ -87,8 +79,9 @@ func (g *Generator) Generate(n int) ([]Function, error) {
 	return out, nil
 }
 
-// GenerateOne produces a single unique function.
-func (g *Generator) GenerateOne() (Function, error) {
+// GenerateOne produces a single unique function. Uniqueness is by
+// behaviour hash (workload.Spec.Hash), which ignores the assigned name.
+func (g *Generator) GenerateOne() (*workload.Spec, error) {
 	const maxAttempts = 1000
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		spec := g.buildSpec()
@@ -100,11 +93,11 @@ func (g *Generator) GenerateOne() (Function, error) {
 		spec.Name = fmt.Sprintf("synthetic-%04d", g.next)
 		g.next++
 		if err := spec.Validate(); err != nil {
-			return Function{}, fmt.Errorf("fngen: generated invalid spec: %w", err)
+			return nil, fmt.Errorf("fngen: generated invalid spec: %w", err)
 		}
-		return Function{Spec: spec, Hash: hash}, nil
+		return spec, nil
 	}
-	return Function{}, ErrExhausted
+	return nil, ErrExhausted
 }
 
 // buildSpec draws a random segment combination and instantiates it.
@@ -158,14 +151,14 @@ func (g *Generator) GeneratedCount() int { return len(g.seen) }
 
 // SAMTemplate renders the AWS SAM template.yaml the paper's generator emits
 // for a function, parameterized by memory size.
-func SAMTemplate(fn Function, memoryMB int) string {
+func SAMTemplate(spec *workload.Spec, memoryMB int) string {
 	var b strings.Builder
 	b.WriteString("AWSTemplateFormatVersion: '2010-09-09'\n")
 	b.WriteString("Transform: AWS::Serverless-2016-10-31\n")
 	fmt.Fprintf(&b, "Description: Synthetic function %s (segments: %s)\n",
-		fn.Spec.Name, strings.Join(fn.Spec.SegmentNames, ", "))
+		spec.Name, strings.Join(spec.SegmentNames, ", "))
 	b.WriteString("Resources:\n")
-	fmt.Fprintf(&b, "  %s:\n", resourceName(fn.Spec.Name))
+	fmt.Fprintf(&b, "  %s:\n", resourceName(spec.Name))
 	b.WriteString("    Type: AWS::Serverless::Function\n")
 	b.WriteString("    Properties:\n")
 	b.WriteString("      Handler: monitored-lambda.handler\n")
@@ -174,7 +167,7 @@ func SAMTemplate(fn Function, memoryMB int) string {
 	b.WriteString("      Timeout: 900\n")
 	b.WriteString("      Environment:\n")
 	b.WriteString("        Variables:\n")
-	fmt.Fprintf(&b, "          FUNCTION_HASH: %s\n", fn.Hash)
+	fmt.Fprintf(&b, "          FUNCTION_HASH: %s\n", spec.Hash())
 	b.WriteString("          METRICS_TABLE: !Ref MetricsTable\n")
 	b.WriteString("  MetricsTable:\n")
 	b.WriteString("    Type: AWS::Serverless::SimpleTable\n")
@@ -183,17 +176,17 @@ func SAMTemplate(fn Function, memoryMB int) string {
 
 // SetupScript aggregates the setup stanzas for every service the function
 // uses, one per line, deduplicated and sorted for stable output.
-func SetupScript(fn Function) string {
-	return scriptFor(fn, services.SetupScript)
+func SetupScript(spec *workload.Spec) string {
+	return scriptFor(spec, services.SetupScript)
 }
 
 // TeardownScript aggregates the teardown stanzas.
-func TeardownScript(fn Function) string {
-	return scriptFor(fn, services.TeardownScript)
+func TeardownScript(spec *workload.Spec) string {
+	return scriptFor(spec, services.TeardownScript)
 }
 
-func scriptFor(fn Function, stanza func(services.Kind) string) string {
-	kinds := fn.Spec.Services()
+func scriptFor(spec *workload.Spec, stanza func(services.Kind) string) string {
+	kinds := spec.Services()
 	lines := make([]string, 0, len(kinds)+1)
 	lines = append(lines, "#!/bin/sh", "set -eu")
 	for _, k := range kinds {

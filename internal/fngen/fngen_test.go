@@ -24,20 +24,20 @@ func TestGenerateUniqueFunctions(t *testing.T) {
 	hashes := make(map[string]bool)
 	names := make(map[string]bool)
 	for _, fn := range fns {
-		if hashes[fn.Hash] {
-			t.Errorf("duplicate function hash %s", fn.Hash)
+		if hashes[fn.Hash()] {
+			t.Errorf("duplicate function hash %s", fn.Hash())
 		}
-		hashes[fn.Hash] = true
-		if names[fn.Spec.Name] {
-			t.Errorf("duplicate function name %s", fn.Spec.Name)
+		hashes[fn.Hash()] = true
+		if names[fn.Name] {
+			t.Errorf("duplicate function name %s", fn.Name)
 		}
-		names[fn.Spec.Name] = true
-		if err := fn.Spec.Validate(); err != nil {
-			t.Errorf("function %s invalid: %v", fn.Spec.Name, err)
+		names[fn.Name] = true
+		if err := fn.Validate(); err != nil {
+			t.Errorf("function %s invalid: %v", fn.Name, err)
 		}
-		n := len(fn.Spec.SegmentNames)
+		n := len(fn.SegmentNames)
 		if n < 1 || n > 4 {
-			t.Errorf("function %s has %d segments, want 1..4", fn.Spec.Name, n)
+			t.Errorf("function %s has %d segments, want 1..4", fn.Name, n)
 		}
 	}
 	if g.GeneratedCount() != 200 {
@@ -55,7 +55,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i].Hash != b[i].Hash {
+		if a[i].Hash() != b[i].Hash() {
 			t.Fatalf("generation not deterministic at %d", i)
 		}
 	}
@@ -70,12 +70,12 @@ func TestGeneratedFunctionsExecutable(t *testing.T) {
 	env := runtime.NewEnv()
 	rng := xrand.New(99)
 	for _, fn := range fns {
-		inst, err := runtime.NewInstance(env, fn.Spec, platform.Mem1024, rng.Derive(fn.Spec.Name))
+		inst, err := runtime.NewInstance(env, fn, platform.Mem1024, rng.Derive(fn.Name))
 		if err != nil {
-			t.Fatalf("%s: %v", fn.Spec.Name, err)
+			t.Fatalf("%s: %v", fn.Name, err)
 		}
 		if _, _, err := inst.Invoke(); err != nil {
-			t.Fatalf("%s failed to execute: %v", fn.Spec.Name, err)
+			t.Fatalf("%s failed to execute: %v", fn.Name, err)
 		}
 	}
 }
@@ -91,12 +91,12 @@ func TestGeneratedProfilesVary(t *testing.T) {
 	withServices, cpuOnly := 0, 0
 	minCPU, maxCPU := 1e18, 0.0
 	for _, fn := range fns {
-		if len(fn.Spec.Services()) > 0 {
+		if len(fn.Services()) > 0 {
 			withServices++
 		} else {
 			cpuOnly++
 		}
-		w := fn.Spec.TotalCPUWorkMs()
+		w := fn.TotalCPUWorkMs()
 		if w < minCPU {
 			minCPU = w
 		}
@@ -119,9 +119,9 @@ func TestSegmentCountBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fn := range fns {
-		n := len(fn.Spec.SegmentNames)
+		n := len(fn.SegmentNames)
 		if n < 2 || n > 3 {
-			t.Errorf("function %s has %d segments, want 2..3", fn.Spec.Name, n)
+			t.Errorf("function %s has %d segments, want 2..3", fn.Name, n)
 		}
 	}
 }
@@ -136,12 +136,12 @@ func TestDuplicateHashesSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := New(xrand.New(11), Options{})
-	g2.seen[f1.Hash] = true
+	g2.seen[f1.Hash()] = true
 	f2, err := g2.GenerateOne()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.Hash == f1.Hash {
+	if f2.Hash() == f1.Hash() {
 		t.Error("generator emitted a hash already in its ledger")
 	}
 }
@@ -164,10 +164,10 @@ func TestExhaustionGuard(t *testing.T) {
 	}
 	hashes := make(map[string]bool)
 	for _, fn := range fns {
-		if hashes[fn.Hash] {
+		if hashes[fn.Hash()] {
 			t.Fatal("duplicate hash emitted")
 		}
-		hashes[fn.Hash] = true
+		hashes[fn.Hash()] = true
 	}
 }
 
@@ -183,7 +183,7 @@ func TestSAMTemplate(t *testing.T) {
 		"MemorySize: 512",
 		"Runtime: nodejs12.x",
 		"monitored-lambda.handler",
-		fn.Hash,
+		fn.Hash(),
 	} {
 		if !strings.Contains(tmpl, want) {
 			t.Errorf("template missing %q:\n%s", want, tmpl)
@@ -192,14 +192,14 @@ func TestSAMTemplate(t *testing.T) {
 }
 
 func TestSetupTeardownScripts(t *testing.T) {
-	fn := Function{Spec: &workload.Spec{
+	fn := &workload.Spec{
 		Name: "svc-fn",
 		Ops: []workload.Op{
 			workload.ServiceOp{Service: services.DynamoDB, Op: "Query", Calls: 1},
 			workload.ServiceOp{Service: services.S3, Op: "GetObject", Calls: 1},
 		},
 		NoiseCoV: 0.1,
-	}}
+	}
 	setup := SetupScript(fn)
 	if !strings.Contains(setup, "dynamodb create-table") || !strings.Contains(setup, "s3 mb") {
 		t.Errorf("setup script missing service stanzas:\n%s", setup)

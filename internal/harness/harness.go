@@ -4,6 +4,11 @@
 // memory-size) experiment grid across workers — the role the paper's
 // Vegeta-based harness plays against real AWS.
 //
+// BuildDataset is the one campaign entry point: the training corpus, the
+// case studies, the motivating example, the application planner and
+// single-function monitoring all measure their (spec × size) grid through
+// it. Trace is the separate raw-invocation path behind the stability test.
+//
 // Determinism: every experiment derives its own random stream from the root
 // seed plus (function, memory) identity, so results are bit-identical
 // regardless of worker count or scheduling order.
@@ -74,10 +79,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Measure runs one experiment: spec at memory size m under the campaign's
+// measure runs one experiment: spec at memory size m under the campaign's
 // load, returning the aggregated summary. rep distinguishes measurement
 // repetitions.
-func Measure(opts Options, spec *workload.Spec, m platform.MemorySize, rep int) (monitoring.Summary, lambda.Result, error) {
+func measure(opts Options, spec *workload.Spec, m platform.MemorySize, rep int) (monitoring.Summary, lambda.Result, error) {
 	opts = opts.withDefaults()
 	root := xrand.New(opts.Seed)
 	expName := fmt.Sprintf("%s@%v#rep%d", spec.Name, m, rep)
@@ -102,14 +107,14 @@ func Measure(opts Options, spec *workload.Spec, m platform.MemorySize, rep int) 
 	return sum, res, nil
 }
 
-// MeasureRepeated runs opts.Repetitions independent repetitions of the
+// measureRepeated runs opts.Repetitions independent repetitions of the
 // experiment and averages the summaries (randomized multiple interleaved
 // trials in the paper reduce cloud variability the same way, §4).
-func MeasureRepeated(opts Options, spec *workload.Spec, m platform.MemorySize) (monitoring.Summary, error) {
+func measureRepeated(opts Options, spec *workload.Spec, m platform.MemorySize) (monitoring.Summary, error) {
 	opts = opts.withDefaults()
 	sums := make([]monitoring.Summary, 0, opts.Repetitions)
 	for rep := 0; rep < opts.Repetitions; rep++ {
-		s, _, err := Measure(opts, spec, m, rep)
+		s, _, err := measure(opts, spec, m, rep)
 		if err != nil {
 			return monitoring.Summary{}, err
 		}
@@ -137,18 +142,13 @@ func averageSummaries(sums []monitoring.Summary) monitoring.Summary {
 	return out
 }
 
-// job identifies one experiment in the campaign grid.
-type job struct {
-	rowIdx int
-	spec   *workload.Spec
-	mem    platform.MemorySize
-}
-
-// BuildDataset measures every spec at every size (with repetitions) in
-// parallel and assembles the training dataset. Function hashes are taken
-// from the specs' behaviour hash. Cancelling ctx stops scheduling new
-// experiments and returns the context's error; results are bit-identical
-// for any worker count while the context stays live.
+// BuildDataset measures every spec at every size of opts.Sizes (nil means
+// the six standard sizes), averaging opts.Repetitions repetitions per
+// cell, in parallel. It returns one row per spec, aligned with specs, with
+// the spec's name as FunctionID and its behaviour hash as Hash. Cancelling
+// ctx stops scheduling new experiments and returns the context's error;
+// results are bit-identical for any worker count while the context stays
+// live.
 func BuildDataset(ctx context.Context, opts Options, specs []*workload.Spec) (*dataset.Dataset, error) {
 	opts = opts.withDefaults()
 	if len(specs) == 0 {
@@ -173,20 +173,18 @@ func BuildDataset(ctx context.Context, opts Options, specs []*workload.Spec) (*d
 
 	// The campaign grid fans out over the shared bounded pool: job index j
 	// maps to (spec, size) row-major, each job writes only its own cell,
-	// and pool.Run stops claiming new cells when ctx is cancelled — the
-	// same bit-identical-for-any-worker-count contract as before, without a
-	// hand-rolled goroutine/channel loop.
+	// and pool.Run stops claiming new cells when ctx is cancelled.
 	total := len(specs) * len(opts.Sizes)
 	var mu sync.Mutex
 	var done int
 	err := pool.Run(ctx, total, opts.Workers, func(j int) error {
-		jb := job{rowIdx: j / len(opts.Sizes), spec: specs[j/len(opts.Sizes)], mem: opts.Sizes[j%len(opts.Sizes)]}
-		sum, err := MeasureRepeated(opts, jb.spec, jb.mem)
+		spec, mem := specs[j/len(opts.Sizes)], opts.Sizes[j%len(opts.Sizes)]
+		sum, err := measureRepeated(opts, spec, mem)
 		if err != nil {
-			return fmt.Errorf("harness: %s at %v: %w", jb.spec.Name, jb.mem, err)
+			return fmt.Errorf("harness: %s at %v: %w", spec.Name, mem, err)
 		}
 		mu.Lock()
-		ds.Rows[jb.rowIdx].Summaries[jb.mem] = sum
+		ds.Rows[j/len(opts.Sizes)].Summaries[mem] = sum
 		done++
 		if opts.Progress != nil {
 			opts.Progress(done, total)

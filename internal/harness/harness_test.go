@@ -36,7 +36,7 @@ func mixedSpec(name string) *workload.Spec {
 }
 
 func TestMeasureProducesPlausibleSummary(t *testing.T) {
-	sum, res, err := Measure(testOpts(), mixedSpec("m1"), platform.Mem512, 0)
+	sum, res, err := measure(testOpts(), mixedSpec("m1"), platform.Mem512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestMeasureProducesPlausibleSummary(t *testing.T) {
 }
 
 func TestMeasureDeterministicAcrossCalls(t *testing.T) {
-	a, _, err := Measure(testOpts(), mixedSpec("m1"), platform.Mem512, 0)
+	a, _, err := measure(testOpts(), mixedSpec("m1"), platform.Mem512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Measure(testOpts(), mixedSpec("m1"), platform.Mem512, 0)
+	b, _, err := measure(testOpts(), mixedSpec("m1"), platform.Mem512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMeasureDeterministicAcrossCalls(t *testing.T) {
 		t.Error("same options must reproduce the summary")
 	}
 	// Different repetition index → different stream → different sample.
-	c, _, err := Measure(testOpts(), mixedSpec("m1"), platform.Mem512, 1)
+	c, _, err := measure(testOpts(), mixedSpec("m1"), platform.Mem512, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMeasureDeterministicAcrossCalls(t *testing.T) {
 func TestMeasureRepeatedAverages(t *testing.T) {
 	opts := testOpts()
 	opts.Repetitions = 3
-	sum, err := MeasureRepeated(opts, mixedSpec("m1"), platform.Mem512)
+	sum, err := measureRepeated(opts, mixedSpec("m1"), platform.Mem512)
 	if err != nil {
 		t.Fatal(err)
 	}

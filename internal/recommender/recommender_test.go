@@ -33,14 +33,10 @@ func testModel(t *testing.T) *core.Model {
 	t.Helper()
 	modelOnce.Do(func() {
 		gen := fngen.New(xrand.New(777), fngen.Options{})
-		fns, err := gen.Generate(80)
+		specs, err := gen.Generate(80)
 		if err != nil {
 			modelErr = err
 			return
-		}
-		specs := make([]*workload.Spec, len(fns))
-		for i, fn := range fns {
-			specs[i] = fn.Spec
 		}
 		var ds *dataset.Dataset
 		ds, modelErr = harness.BuildDataset(context.Background(), harness.Options{

@@ -18,8 +18,7 @@ func TestExecutionTimeMonotoneInMemoryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := NewEnv()
-	for _, fn := range fns {
-		spec := fn.Spec
+	for _, spec := range fns {
 		spec.NoiseCoV = 0 // isolate the deterministic resource model
 		var prev float64
 		for i, m := range platform.StandardSizes() {
@@ -53,7 +52,7 @@ func TestCPUTimeBoundedByShareProperty(t *testing.T) {
 	res := env.Platform.Resources
 	for _, fn := range fns {
 		for _, m := range []platform.MemorySize{platform.Mem128, platform.Mem512, platform.Mem3008} {
-			inst, err := NewInstance(env, fn.Spec, m, xrand.New(55).Derive(fn.Spec.Name))
+			inst, err := NewInstance(env, fn, m, xrand.New(55).Derive(fn.Name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +68,7 @@ func TestCPUTimeBoundedByShareProperty(t *testing.T) {
 			// Allow a small tolerance for the speed-factor jitter (±10%).
 			if cpu > wall*share*1.15 {
 				t.Errorf("%s at %v: cpu %.4fs exceeds wall %.4fs × share %.3f",
-					fn.Spec.Name, m, cpu, wall, share)
+					fn.Name, m, cpu, wall, share)
 			}
 		}
 	}
@@ -85,7 +84,7 @@ func TestMetricsNonNegativeProperty(t *testing.T) {
 	}
 	env := NewEnv()
 	for _, fn := range fns {
-		inst, err := NewInstance(env, fn.Spec, platform.Mem256, xrand.New(44).Derive(fn.Spec.Name))
+		inst, err := NewInstance(env, fn, platform.Mem256, xrand.New(44).Derive(fn.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +107,7 @@ func TestMetricsNonNegativeProperty(t *testing.T) {
 		}
 		for name, v := range checks {
 			if v < 0 {
-				t.Errorf("%s: %s = %v < 0", fn.Spec.Name, name, v)
+				t.Errorf("%s: %s = %v < 0", fn.Name, name, v)
 			}
 		}
 	}
@@ -124,7 +123,7 @@ func TestCountersNeverDecreaseProperty(t *testing.T) {
 	}
 	env := NewEnv()
 	for _, fn := range fns {
-		inst, err := NewInstance(env, fn.Spec, platform.Mem512, xrand.New(77).Derive(fn.Spec.Name))
+		inst, err := NewInstance(env, fn, platform.Mem512, xrand.New(77).Derive(fn.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +137,7 @@ func TestCountersNeverDecreaseProperty(t *testing.T) {
 				s.UserCPU.Nanoseconds(), int64(s.VolCtx), s.FSReads, s.FSWrites, s.BytesRecv, s.BytesSent,
 			}
 			if k > 0 && !cur.atLeast(prev) {
-				t.Fatalf("%s: counters decreased between invocations", fn.Spec.Name)
+				t.Fatalf("%s: counters decreased between invocations", fn.Name)
 			}
 			prev = cur
 		}

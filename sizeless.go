@@ -64,14 +64,9 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	if cfg.functions <= 0 {
 		return nil, errors.New("sizeless: GenerateDataset requires WithFunctions(n > 0)")
 	}
-	gen := fngen.New(xrand.New(cfg.seed), fngen.Options{})
-	fns, err := gen.Generate(cfg.functions)
+	specs, err := fngen.New(xrand.New(cfg.seed), fngen.Options{}).Generate(cfg.functions)
 	if err != nil {
 		return nil, fmt.Errorf("sizeless: %w", err)
-	}
-	specs := make([]*workload.Spec, len(fns))
-	for i, fn := range fns {
-		specs[i] = fn.Spec
 	}
 	ds, err := harness.BuildDataset(ctx, harness.Options{
 		Env:      cfg.newEnv(),
@@ -349,9 +344,6 @@ func MonitorFunction(ctx context.Context, spec *workload.Spec, opts ...Option) (
 	if err != nil {
 		return Summary{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return Summary{}, fmt.Errorf("sizeless: %w", err)
-	}
 	mem := cfg.memory
 	if mem == 0 {
 		mem = cfg.provider.Grid().Nearest(Mem256)
@@ -359,16 +351,18 @@ func MonitorFunction(ctx context.Context, spec *workload.Spec, opts ...Option) (
 			mem = Mem256
 		}
 	}
-	sum, _, err := harness.Measure(harness.Options{
+	ds, err := harness.BuildDataset(ctx, harness.Options{
 		Env:      cfg.newEnv(),
 		Rate:     cfg.rate,
 		Duration: cfg.duration,
+		Sizes:    []MemorySize{mem},
 		Seed:     cfg.seed,
-	}, spec, mem, 0)
+		Workers:  1,
+	}, []*workload.Spec{spec})
 	if err != nil {
 		return Summary{}, fmt.Errorf("sizeless: %w", err)
 	}
-	return sum, nil
+	return ds.Rows[0].Summaries[mem], nil
 }
 
 // NewEnv returns a fresh simulated platform environment for the default
