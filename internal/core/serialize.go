@@ -88,16 +88,24 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if len(s.Networks) == 0 {
 		return nil, fmt.Errorf("core: load: no networks")
 	}
+	if s.Scaler == nil {
+		return nil, fmt.Errorf("core: load: missing scaler")
+	}
+	if len(s.Scaler.Mean) != len(feats) || len(s.Scaler.Std) != len(feats) {
+		return nil, fmt.Errorf("core: load: scaler has %d means and %d deviations for %d features",
+			len(s.Scaler.Mean), len(s.Scaler.Std), len(feats))
+	}
 	nets := make([]*nn.Network, 0, len(s.Networks))
-	for _, blob := range s.Networks {
+	for i, blob := range s.Networks {
 		net, err := nn.Load(bytes.NewReader(blob))
 		if err != nil {
 			return nil, fmt.Errorf("core: load: %w", err)
 		}
+		if c := net.Config(); c.Inputs != len(feats) || c.Outputs != len(s.Targets) {
+			return nil, fmt.Errorf("core: load: network %d maps %d inputs to %d outputs, want %d features to %d targets",
+				i, c.Inputs, c.Outputs, len(feats), len(s.Targets))
+		}
 		nets = append(nets, net)
-	}
-	if s.Scaler == nil {
-		return nil, fmt.Errorf("core: load: missing scaler")
 	}
 	m := &Model{
 		cfg: ModelConfig{

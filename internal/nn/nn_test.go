@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"sizeless/internal/xrand"
@@ -305,6 +306,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString("{bad json")); err == nil {
 		t.Error("corrupt input should error")
+	}
+}
+
+// TestLoadRejectsShapeMismatch feeds Load configs whose declared layer
+// widths disagree with the serialized weights. The first input once
+// panicked in newDense: its config asked for a 4e9 × 4e9 layer.
+func TestLoadRejectsShapeMismatch(t *testing.T) {
+	cases := map[string]string{
+		"huge config, no weights": `{"config":{"Inputs":4000000000,"Outputs":4000000000,"Optimizer":"adam","Loss":"mse"},"weights":[],"biases":[]}`,
+		"zero width":              `{"config":{"Inputs":0,"Outputs":1},"weights":[[[]]],"biases":[[0]]}`,
+		"missing layer":           `{"config":{"Inputs":1,"Outputs":1,"Hidden":[2]},"weights":[[[1],[1]]],"biases":[[0,0]]}`,
+		"short bias":              `{"config":{"Inputs":1,"Outputs":2},"weights":[[[1],[1]]],"biases":[[0]]}`,
+		"narrow row":              `{"config":{"Inputs":2,"Outputs":1},"weights":[[[1]]],"biases":[[0]]}`,
+	}
+	for name, in := range cases {
+		if _, err := Load(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: Load accepted %s", name, in)
+		}
+	}
+	ok := `{"config":{"Inputs":2,"Outputs":1},"weights":[[[1,2]]],"biases":[[3]]}`
+	net, err := Load(strings.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := net.Predict([]float64{1, 1}); err != nil || p[0] != 6 {
+		t.Errorf("Predict = %v, %v; want [6]", p, err)
 	}
 }
 

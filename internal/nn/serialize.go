@@ -44,24 +44,47 @@ func Load(r io.Reader) (*Network, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
+	if err := s.checkShape(); err != nil {
+		return nil, err
+	}
 	n, err := New(s.Config)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Weights) != len(n.layers) || len(s.Biases) != len(n.layers) {
-		return nil, errors.New("nn: load: layer count mismatch")
-	}
 	for li, l := range n.layers {
-		if len(s.Weights[li]) != l.out || len(s.Biases[li]) != l.out {
-			return nil, fmt.Errorf("nn: load: layer %d shape mismatch", li)
-		}
 		for o := 0; o < l.out; o++ {
-			if len(s.Weights[li][o]) != l.in {
-				return nil, fmt.Errorf("nn: load: layer %d row %d width mismatch", li, o)
-			}
 			copy(l.row(o), s.Weights[li][o])
 		}
 		copy(l.b, s.Biases[li])
 	}
 	return n, nil
+}
+
+// checkShape compares the serialized weights and biases with the layer
+// widths the config declares. It runs before New, so a config that claims
+// more weights than the file holds is rejected instead of sizing an
+// allocation.
+func (s *serialized) checkShape() error {
+	widths := append(append([]int{s.Config.Inputs}, s.Config.Hidden...), s.Config.Outputs)
+	for _, w := range widths {
+		if w <= 0 {
+			return errors.New("nn: load: layer widths must be positive")
+		}
+	}
+	layers := len(widths) - 1
+	if len(s.Weights) != layers || len(s.Biases) != layers {
+		return errors.New("nn: load: layer count mismatch")
+	}
+	for li := 0; li < layers; li++ {
+		in, out := widths[li], widths[li+1]
+		if len(s.Weights[li]) != out || len(s.Biases[li]) != out {
+			return fmt.Errorf("nn: load: layer %d shape mismatch", li)
+		}
+		for o, row := range s.Weights[li] {
+			if len(row) != in {
+				return fmt.Errorf("nn: load: layer %d row %d width mismatch", li, o)
+			}
+		}
+	}
+	return nil
 }
