@@ -168,6 +168,7 @@ func CaseStudyPredictions(ctx context.Context, lab *Lab, selections map[string][
 			for i := range cs.Rows {
 				if cs.Rows[i].FunctionID == fnName {
 					row = &cs.Rows[i]
+					break
 				}
 			}
 			if row == nil {

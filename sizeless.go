@@ -357,7 +357,6 @@ func MonitorFunction(ctx context.Context, spec *workload.Spec, opts ...Option) (
 		Duration: cfg.duration,
 		Sizes:    []MemorySize{mem},
 		Seed:     cfg.seed,
-		Workers:  1,
 	}, []*workload.Spec{spec})
 	if err != nil {
 		return Summary{}, fmt.Errorf("sizeless: %w", err)
