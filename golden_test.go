@@ -21,9 +21,10 @@ import (
 	"sizeless/internal/xrand"
 )
 
-// The golden constants below pin the per-seed behaviour contract: a seeded
-// dataset → train → recommend run and a seeded fleet-synthesis run must
-// reproduce these exact bytes. A change to any kernel summation order, RNG
+// The golden constants below pin the per-seed behaviour contract: seeded
+// measurement campaigns (a dataset CSV, Fig. 1, the case studies, the app
+// matrix), a seeded dataset → train → recommend run and a seeded
+// fleet-synthesis run must reproduce these exact bytes. A change to any kernel summation order, RNG
 // derivation, serialization or warm-pool rule shows up here first. Update
 // a constant only for a change that is meant to alter seeded output, and
 // say so in the change description.
