@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,14 +19,17 @@ import (
 	"sizeless/internal/experiments"
 	"sizeless/internal/fleetsynth"
 	"sizeless/internal/loadgen"
+	"sizeless/internal/monitoring"
 	"sizeless/internal/nn"
+	"sizeless/internal/serve"
 	"sizeless/internal/xrand"
 )
 
 // The golden constants below pin the per-seed behaviour contract: seeded
 // measurement campaigns (a dataset CSV, Fig. 1, the case studies, the app
-// matrix), a seeded dataset → train → recommend run and a seeded
-// fleet-synthesis run must reproduce these exact bytes. A change to any kernel summation order, RNG
+// matrix), a seeded dataset → train → recommend run, a seeded
+// fleet-synthesis run and a seeded fleet snapshot must reproduce these
+// exact bytes. A change to any kernel summation order, RNG
 // derivation, serialization or warm-pool rule shows up here first. Update
 // a constant only for a change that is meant to alter seeded output, and
 // say so in the change description.
@@ -42,6 +47,7 @@ const (
 	goldenMotivatingSHA = "4f986b7f0d47ae9c8af5fa0c46311c4893d47952adf45eab6e6d21d5acdf1ac0"
 	goldenAppMatrixSHA  = "c7b07245a0a61723f3a21278d1d806f64e608a2d1a22d0189163487242b85bd1"
 	goldenCaseStudySHA  = "ab8f7319731e228968812eb0149b3d0936a6ac3f7e86c8ec64c20c74c25df6bf"
+	goldenSnapshotSHA   = "a65eff474b8b66486b659c2fd27e3b6ffa3390005bbc2d95db1baded8206aef8"
 )
 
 // goldenColdFractions are the exact ColdFraction values for the golden
@@ -211,6 +217,97 @@ func TestGoldenPredictorPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex(raw); got != goldenFleetSHA {
 		t.Errorf("Fleet JSON sha256 = %s, want %s", got, goldenFleetSHA)
+	}
+}
+
+// TestGoldenSnapshotPerSeed pins the bytes of a fleet snapshot built from
+// seeded fleetsynth windows, ingested two ways: POSTed to one daemon's
+// /v1/ingest, and through a second daemon's Service in process. The two
+// snapshots must be byte-identical, which also pins that the ingest
+// decoder's floats are bit-exact end to end. The first round posts one
+// function per request in sorted order, so that first-seen order, and
+// with it the snapshot's record order, is fixed; later rounds post whole
+// batches. The third round scales every metric 3× so drift fires.
+func TestGoldenSnapshotPerSeed(t *testing.T) {
+	ctx := context.Background()
+	pred, err := sizeless.TrainPredictor(ctx, goldenTrainSet(t),
+		sizeless.WithHidden(8),
+		sizeless.WithEpochs(10),
+		sizeless.WithEnsembleSize(1),
+		sizeless.WithSeed(11),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []sizeless.Option{sizeless.WithMinWindow(20)}
+	posted, err := serve.New(serve.Config{Predictor: pred, ServiceOptions: opts, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inProcess, err := serve.New(serve.Config{Predictor: pred, ServiceOptions: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCtx, cancel := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() { done <- posted.Run(runCtx) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	<-posted.Started()
+
+	for round, scale := range []float64{1, 1, 3} {
+		batch := fleetsynth.Batch(8, 30, int64(41+round), scale)
+		fns := make([]string, 0, len(batch))
+		for fn := range batch {
+			fns = append(fns, fn)
+		}
+		slices.Sort(fns)
+		groups := []map[string][]monitoring.Invocation{batch}
+		if round == 0 {
+			groups = groups[:0]
+			for _, fn := range fns {
+				groups = append(groups, map[string][]monitoring.Invocation{fn: batch[fn]})
+			}
+		}
+		for _, g := range groups {
+			body, err := json.Marshal(serve.IngestRequest{Windows: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post("http://"+posted.Addr()+"/v1/ingest", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("round %d: ingest = %d, want 202", round, resp.StatusCode)
+			}
+			posted.Drain()
+		}
+		for _, fn := range fns {
+			if _, err := inProcess.Service().Ingest(ctx, fn, batch[fn]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var viaHTTP, direct bytes.Buffer
+	if err := posted.WriteSnapshot(&viaHTTP); err != nil {
+		t.Fatal(err)
+	}
+	if err := inProcess.WriteSnapshot(&direct); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaHTTP.Bytes(), direct.Bytes()) {
+		t.Errorf("snapshot after POST /v1/ingest differs from the in-process one (%d vs %d bytes)",
+			viaHTTP.Len(), direct.Len())
+	}
+	if got := sha256Hex(viaHTTP.Bytes()); got != goldenSnapshotSHA {
+		t.Errorf("snapshot sha256 = %s, want %s", got, goldenSnapshotSHA)
 	}
 }
 

@@ -12,6 +12,12 @@ import (
 // request that would overflow any shard queue is rejected whole with 429,
 // and one carrying a window that fails monitoring.ValidateWindow is
 // rejected whole with 400 naming the function and the invocation index.
+//
+// The daemon reads the whole body, up to Config.MaxBodyBytes (413 past
+// it), and decodes it as encoding/json would decode this type with
+// unknown fields disallowed: field names match case-insensitively, null
+// leaves a value unset, and Start and Duration take integer nanoseconds.
+// Anything but whitespace after the object is refused with 400.
 type IngestRequest struct {
 	Windows map[string][]monitoring.Invocation `json:"windows"`
 }

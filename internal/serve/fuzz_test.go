@@ -3,6 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +84,69 @@ func FuzzReadSnapshot(f *testing.F) {
 			if got := svc.Summarize().Functions; got != 0 {
 				t.Fatalf("failed import left %d functions behind", got)
 			}
+		}
+	})
+}
+
+// FuzzRecommendRequest drives POST /v1/recommend's handler with arbitrary
+// bodies: it must never panic, a 200 must carry one recommendation per
+// request summary, and anything else must be a 400, 413 or 422 with an
+// ErrorResponse body.
+func FuzzRecommendRequest(f *testing.F) {
+	pred := testPredictor(f)
+	ds := testDataset(f)
+	srv, err := New(Config{Predictor: pred, MaxBodyBytes: 16 << 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	one, two := ds.Rows[0].Summaries[pred.Base()], ds.Rows[1].Summaries[pred.Base()]
+	half := 0.5
+	for _, req := range []RecommendRequest{
+		{Summaries: []monitoring.Summary{one}},
+		{Summaries: []monitoring.Summary{one, two}, Tradeoff: &half},
+		{Summaries: []monitoring.Summary{{}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, s := range []string{
+		``, `null`, `{}`, `{"summaries":[]}`, `{"summaries":null}`, `{"summaries":[{}]} x`,
+		`{"summaries":[{"N":1}],"tradeoff":-1}`, `{"summaries":[{"N":1}],"tradeoff":2}`,
+		`{"summaries":[{"N":-5,"Mean":[1e308,-1e308],"Std":[1e308],"CoV":[-1e308]}]}`,
+		`{"summaries":[{"Mean":[1e400]}]}`, `{"summaries":[{}],"extra":1}`,
+		`{"summaries":[` + strings.Repeat(`{},`, 6000) + `{}]}`, // past MaxBodyBytes
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.handleRecommend(rec, httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var req RecommendRequest
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				t.Fatalf("200 for a body the handler cannot decode: %v", err)
+			}
+			var resp RecommendResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 with an undecodable body %q: %v", rec.Body.Bytes(), err)
+			}
+			if len(resp.Recommendations) != len(req.Summaries) {
+				t.Fatalf("%d recommendations for %d summaries", len(resp.Recommendations), len(req.Summaries))
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
+				t.Fatalf("status %d with body %q, want an ErrorResponse", rec.Code, rec.Body.Bytes())
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
 	})
 }

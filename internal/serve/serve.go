@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -392,22 +393,28 @@ func (s *Server) recordError(err error) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	if !s.decodeBody(w, r, &req) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	if len(req.Windows) == 0 {
+	windows, err := decodeIngest(body)
+	if err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	if len(windows) == 0 {
 		writeError(w, http.StatusBadRequest, "no windows in request")
 		return
 	}
-	jobs := make([]job, 0, len(req.Windows))
+	jobs := make([]job, 0, len(windows))
 	invocations := 0
 	// Admission validates every window so that a bad one is refused with a
 	// 400 naming it, instead of failing later in a drainer. When several
 	// windows are bad, the smallest function ID is reported, so the
 	// response does not depend on map order.
 	badFn, badErr := "", error(nil)
-	for fn, invs := range req.Windows {
+	for fn, invs := range windows {
 		if fn == "" {
 			writeError(w, http.StatusBadRequest, "empty function ID")
 			return
@@ -570,15 +577,21 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 once it passed MaxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
+	writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

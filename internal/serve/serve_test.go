@@ -359,6 +359,56 @@ func TestServeIngestRejectsInvalidWindow(t *testing.T) {
 	}
 }
 
+// TestServeIngestBodyContract pins how POST /v1/ingest reads its body:
+// the whole body is read under MaxBodyBytes (413 past it), data after the
+// request object is refused with 400, and function IDs are unescaped.
+func TestServeIngestBodyContract(t *testing.T) {
+	srv, base := startServer(t, Config{MaxBodyBytes: 8 << 10})
+	window := mustMarshal(t, fleetsynth.Batch(1, 5, 7, 1)["fleet-fn-0000"])
+
+	post := func(body string) (int, ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+				t.Errorf("status %d without an error body: %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, er
+	}
+
+	body := `{"windows":{"fn-\u0041\u00e9":` + string(window) + `}}`
+	if code, er := post(body + " x"); code != http.StatusBadRequest {
+		t.Errorf("trailing data = %d (%s), want 400", code, er.Error)
+	}
+	if code, er := post(body + "{}"); code != http.StatusBadRequest {
+		t.Errorf("second object = %d (%s), want 400", code, er.Error)
+	}
+	big := mustMarshal(t, IngestRequest{Windows: fleetsynth.Batch(1, 40, 7, 1)})
+	if code, er := post(string(big)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body = %d (%s), want 413", len(big), code, er.Error)
+	}
+	if code, er := post(body + " \n"); code != http.StatusAccepted {
+		t.Fatalf("escaped function ID = %d (%s), want 202", code, er.Error)
+	}
+	srv.Drain()
+	st, err := srv.Service().Status("fn-Aé")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Observed != 5 {
+		t.Errorf("fn-Aé observed %d invocations, want 5", st.Observed)
+	}
+	if got := len(srv.Service().Fleet()); got != 1 {
+		t.Errorf("fleet tracks %d functions, want 1", got)
+	}
+}
+
 // TestServeShutdownDrainsAcceptedWindows pins the graceful-stop contract:
 // windows acknowledged with 202 before the shutdown are committed to the
 // service and captured by the final snapshot, not dropped with the queues.
