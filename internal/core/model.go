@@ -157,6 +157,10 @@ type Model struct {
 	// a single prediction is a one-row batch, and the recommender's
 	// recompute path makes one per function under concurrent ingestion.
 	batchPool sync.Pool // stores *batchBuf
+	// fpOnce guards fp and fpErr, the memoized Fingerprint.
+	fpOnce sync.Once
+	fp     string
+	fpErr  error
 }
 
 // initDerived populates the computed fields shared by every construction
@@ -505,8 +509,10 @@ func enforceMonotone(times map[platform.MemorySize]float64, ascending []platform
 }
 
 // Save persists the trained model (network weights, scaler, config
-// metadata). The feature set is identified by name; loading resolves names
-// against the paper-final feature constructors.
+// metadata) as one line of JSON, the bytes encoding/json writes for the
+// persisted shape. The feature set is identified by name; loading resolves
+// names against the paper-final feature constructors. A NaN or infinite
+// weight, bias or scaler value is an error.
 func (m *Model) Save(w io.Writer) error {
 	return saveModel(m, w)
 }

@@ -164,18 +164,17 @@ type dense struct {
 	mB, vB []float64
 }
 
-func newDense(in, out int, relu bool, rng *xrand.Stream) *dense {
-	d := &dense{in: in, out: out, relu: relu}
-	d.w = make([]float64, out*in)
+// init draws the layer's weights and zeroes its biases.
+func (d *dense) init(rng *xrand.Stream) {
+	d.w = make([]float64, d.out*d.in)
 	// He initialization, appropriate for ReLU networks. Draw order is
 	// row-major, matching the original nested-slice layout so a fixed seed
 	// reproduces the same initial weights across engine versions.
-	scale := math.Sqrt(2.0 / float64(in))
+	scale := math.Sqrt(2.0 / float64(d.in))
 	for j := range d.w {
 		d.w[j] = rng.NormFloat64() * scale
 	}
-	d.b = make([]float64, out)
-	return d
+	d.b = make([]float64, d.out)
 }
 
 // row returns output o's weight row.
@@ -218,17 +217,30 @@ type Network struct {
 
 // New constructs a network with randomly initialized weights.
 func New(cfg Config) (*Network, error) {
+	n, err := newLayers(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rng := xrand.New(n.cfg.Seed).Derive("nn-init")
+	for _, d := range n.layers {
+		d.init(rng)
+	}
+	return n, nil
+}
+
+// newLayers constructs a network of cfg's layer widths whose weights and
+// biases are not yet allocated.
+func newLayers(cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := xrand.New(cfg.Seed).Derive("nn-init")
 	sizes := append([]int{cfg.Inputs}, cfg.Hidden...)
 	sizes = append(sizes, cfg.Outputs)
 	n := &Network{cfg: cfg}
 	for l := 0; l+1 < len(sizes); l++ {
 		relu := l+2 < len(sizes) // all but the output layer
-		n.layers = append(n.layers, newDense(sizes[l], sizes[l+1], relu, rng))
+		n.layers = append(n.layers, &dense{in: sizes[l], out: sizes[l+1], relu: relu})
 	}
 	return n, nil
 }

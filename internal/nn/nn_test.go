@@ -311,7 +311,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestLoadRejectsShapeMismatch feeds Load configs whose declared layer
 // widths disagree with the serialized weights. The first input once
-// panicked in newDense: its config asked for a 4e9 × 4e9 layer.
+// panicked while New sized a 4e9 × 4e9 layer for its config.
 func TestLoadRejectsShapeMismatch(t *testing.T) {
 	cases := map[string]string{
 		"huge config, no weights": `{"config":{"Inputs":4000000000,"Outputs":4000000000,"Optimizer":"adam","Loss":"mse"},"weights":[],"biases":[]}`,

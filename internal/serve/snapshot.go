@@ -29,8 +29,9 @@ import (
 //
 // The trailer makes truncation detectable: a snapshot cut off mid-write
 // fails restore with the line it stopped at instead of silently loading a
-// partial fleet. Writes go through a temp file + rename, so a crash during
-// a snapshot leaves the previous snapshot intact.
+// partial fleet. Writes go through a temp file, synced to disk, and a
+// rename, whose directory entry is synced too, so a crash during a
+// snapshot leaves the previous snapshot intact.
 
 const (
 	snapshotMagic   = "sizeless-fleet-snapshot"
@@ -75,10 +76,17 @@ func (s *Server) Snapshot() error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	s.snapshots.Add(1)
@@ -87,15 +95,30 @@ func (s *Server) Snapshot() error {
 	return nil
 }
 
-// WriteSnapshot streams the snapshot to w.
+// syncDir flushes a directory's entries, such as a rename into it, to
+// disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
+}
+
+// WriteSnapshot streams the snapshot to w. It encodes the model once:
+// saving records the model's fingerprint, which the header then reads.
 func (s *Server) WriteSnapshot(w io.Writer) error {
 	pred := s.pred.Load()
-	fp, err := pred.Fingerprint()
-	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
 	var model bytes.Buffer
 	if err := pred.Save(&model); err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	fp, err := pred.Fingerprint()
+	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	fns := s.svc.Export()

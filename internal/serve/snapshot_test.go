@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"sizeless"
+	"sizeless/internal/dataset"
 	"sizeless/internal/fleetsynth"
 	"sizeless/internal/monitoring"
 	"sizeless/internal/recommender"
@@ -298,5 +300,100 @@ func TestRestoreRejectsInvalidWindows(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: restore err = %v, want it to mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSnapshotLeavesNoTempFiles: a written snapshot is renamed into place
+// with no temporary file left beside it, and a daemon restored from it
+// writes the same bytes again.
+func TestSnapshotLeavesNoTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/fleet.snap"
+	orig := newSnapshotServer(t, path)
+	if err := orig.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "fleet.snap" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("snapshot directory holds %v, want only fleet.snap", names)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := New(Config{
+		Predictor:      testPredictor(t),
+		ServiceOptions: []sizeless.Option{sizeless.WithMinWindow(50)},
+		SnapshotPath:   path,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := restored.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), written) {
+		t.Error("the restored daemon's snapshot differs from the one it restored")
+	}
+}
+
+// TestSnapshotNonFiniteModelKeepsPrevious: a serving model that cannot be
+// saved, here through a NaN in its feature scaler, fails Snapshot, which
+// leaves the previous snapshot file byte-identical and no temporary file.
+func TestSnapshotNonFiniteModelKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/fleet.snap"
+	srv := newSnapshotServer(t, path)
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ds := *testDataset(t)
+	ds.Rows = append([]dataset.Row(nil), ds.Rows...)
+	row := &ds.Rows[0]
+	sums := make(map[sizeless.MemorySize]monitoring.Summary, len(row.Summaries))
+	for m, s := range row.Summaries {
+		sums[m] = s
+	}
+	base := testPredictor(t).Base()
+	sum := sums[base]
+	for i := range sum.Mean {
+		if i != int(monitoring.ExecutionTime) {
+			sum.Mean[i] = math.NaN()
+		}
+	}
+	sums[base] = sum
+	row.Summaries = sums
+	nanPred, err := sizeless.TrainPredictor(context.Background(), &ds, sizeless.WithHidden(4), sizeless.WithEpochs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.pred.Store(nanPred)
+
+	if err := srv.Snapshot(); err == nil || !strings.Contains(err.Error(), "unsupported value") {
+		t.Fatalf("Snapshot of a model with a NaN scaler value: %v, want an unsupported-value error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("a failed snapshot changed the previous snapshot file")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("snapshot directory holds %d entries (%v), want only the snapshot", len(entries), err)
 	}
 }

@@ -151,6 +151,10 @@ func TrainPredictor(ctx context.Context, ds *Dataset, opts ...Option) (*Predicto
 
 // LoadPredictor restores a predictor saved with Save. The provider is not
 // serialized; pass WithProvider to re-attach a non-default one.
+//
+// It reads r to the end: r must hold the model object and nothing after
+// it but JSON whitespace. It accepts the files encoding/json accepts into
+// the model's shape and builds the same predictor from them.
 func LoadPredictor(r io.Reader, opts ...Option) (*Predictor, error) {
 	cfg, err := resolve(opts)
 	if err != nil {
@@ -163,7 +167,8 @@ func LoadPredictor(r io.Reader, opts ...Option) (*Predictor, error) {
 	return &Predictor{model: model, provider: cfg.provider, workers: cfg.workers}, nil
 }
 
-// Save persists the predictor (weights + scaler + feature names) as JSON.
+// Save persists the predictor (weights + scaler + feature names) as one
+// line of JSON, the bytes encoding/json writes for the model's shape.
 func (p *Predictor) Save(w io.Writer) error {
 	if err := p.model.Save(w); err != nil {
 		return fmt.Errorf("sizeless: %w", err)
@@ -439,7 +444,8 @@ func (p *Predictor) SwapServiceModel(svc *Service) error {
 // Fingerprint returns a stable hex hash of the predictor's serialized model
 // state. Two predictors fingerprint equal exactly when Save would write
 // identical bytes — the identity the serve daemon stamps into fleet
-// snapshots.
+// snapshots. It is computed once per model, on the first Fingerprint or
+// Save, so later calls cost nothing.
 func (p *Predictor) Fingerprint() (string, error) {
 	fp, err := p.model.Fingerprint()
 	if err != nil {
