@@ -13,6 +13,7 @@ package sizeless_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -372,6 +373,35 @@ func BenchmarkCoreTraining(b *testing.B) {
 		if _, err := core.Train(context.Background(), ds, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrainEnsemble measures one ensemble of three through the
+// epoch-slice scheduler: with one worker the members train one after
+// another; with two they share both workers in slices of half the budget,
+// so the third member no longer trains alone. The model is the same
+// either way.
+func BenchmarkTrainEnsemble(b *testing.B) {
+	l := lab(b)
+	ds, err := l.Dataset(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := core.DefaultModelConfig(platform.Mem256)
+			cfg.Hidden = []int{32, 32}
+			cfg.Epochs = 60
+			cfg.EnsembleSize = 3
+			cfg.Workers = workers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Train(context.Background(), ds, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -78,7 +79,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	switch args[0] {
 	case "plan":
-		return cmdPlan(ctx, args[1:])
+		return cmdPlan(ctx, os.Stdout, args[1:])
 	case "train":
 		return cmdTrain(ctx, args[1:])
 	case "evaluate":
@@ -463,8 +464,8 @@ func cmdServe(ctx context.Context, args []string) error {
 
 // cmdPlan is application-aware sizing: measure one case-study app on the
 // selected provider and plan it per-function, jointly (sizes only), and
-// jointly with fusion, printing the three deployments side by side.
-func cmdPlan(ctx context.Context, args []string) error {
+// jointly with fusion, printing the three deployments side by side to w.
+func cmdPlan(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 	appName := fs.String("app", "hello-retail", "case-study application (use -list to enumerate)")
 	list := fs.Bool("list", false, "list the case-study applications and exit")
@@ -478,7 +479,7 @@ func cmdPlan(ctx context.Context, args []string) error {
 	}
 	if *list {
 		for _, a := range apps.All() {
-			fmt.Printf("%-20s %d functions, %d edges, %g req/s\n", a.Name, len(a.Functions), len(a.Edges), a.Rate)
+			fmt.Fprintf(w, "%-20s %d functions, %d edges, %g req/s\n", a.Name, len(a.Functions), len(a.Edges), a.Rate)
 		}
 		return nil
 	}
@@ -536,14 +537,14 @@ func cmdPlan(ctx context.Context, args []string) error {
 	}
 
 	printPlan := func(title string, pl *dag.Plan) {
-		fmt.Printf("%s\n", title)
+		fmt.Fprintf(w, "%s\n", title)
 		for _, gp := range pl.Groups {
-			fmt.Printf("  %-8v %9.1fms  %s\n", gp.Memory, gp.LatencyMs, strings.Join(gp.Functions, " + "))
+			fmt.Fprintf(w, "  %-8v %9.1fms  %s\n", gp.Memory, gp.LatencyMs, strings.Join(gp.Functions, " + "))
 		}
-		fmt.Printf("  => %.3g $/req, %.1fms critical path, %.0f invocations/req, S_total=%.3f\n\n",
+		fmt.Fprintf(w, "  => %.3g $/req, %.1fms critical path, %.0f invocations/req, S_total=%.3f\n\n",
 			pl.CostPerReq, pl.LatencyMs, pl.InvocationsPerReq, pl.STotal)
 	}
-	fmt.Printf("application %s on %s (t=%.2f, %g req/s, seed %d)\n\n",
+	fmt.Fprintf(w, "application %s on %s (t=%.2f, %g req/s, seed %d)\n\n",
 		app.Name, provider.Name(), *tradeoff, planRate, *seed)
 	printPlan("per-function-optimal (paper's optimizer per function):", cmp.PerFunction)
 	printPlan("application-optimal, sizes only:", cmp.SizesOnly)

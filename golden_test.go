@@ -48,6 +48,13 @@ const (
 	goldenAppMatrixSHA  = "c7b07245a0a61723f3a21278d1d806f64e608a2d1a22d0189163487242b85bd1"
 	goldenCaseStudySHA  = "ab8f7319731e228968812eb0149b3d0936a6ac3f7e86c8ec64c20c74c25df6bf"
 	goldenSnapshotSHA   = "a65eff474b8b66486b659c2fd27e3b6ffa3390005bbc2d95db1baded8206aef8"
+
+	// Early-stopped training and adaptation: every member holds a
+	// validation split out, stops on patience and keeps its best weights.
+	goldenEarlyStopFingerprint = "fb80ac2236194e58"
+	goldenAdaptFingerprint     = "9b9a12b2d8479f51"
+	goldenAdaptEpochsSpent     = 15
+	goldenAdaptEarlyStopped    = true
 )
 
 // goldenColdFractions are the exact ColdFraction values for the golden
@@ -217,6 +224,60 @@ func TestGoldenPredictorPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex(raw); got != goldenFleetSHA {
 		t.Errorf("Fleet JSON sha256 = %s, want %s", got, goldenFleetSHA)
+	}
+}
+
+// TestGoldenEarlyStoppingPerSeed pins the validated paths: a three-member
+// TrainPredictor that stops on patience, and an Adapt of it that stops on
+// patience too, with the epochs the adaptation spent.
+func TestGoldenEarlyStoppingPerSeed(t *testing.T) {
+	ctx := context.Background()
+	pred, err := sizeless.TrainPredictor(ctx, goldenTrainSet(t),
+		sizeless.WithHidden(24, 12),
+		sizeless.WithEpochs(120),
+		sizeless.WithEnsembleSize(3),
+		sizeless.WithSeed(11),
+		sizeless.WithEarlyStopping(4),
+		sizeless.WithValidationSplit(0.25),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := pred.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != goldenEarlyStopFingerprint {
+		t.Errorf("early-stopped model fingerprint = %s, want %s", fp, goldenEarlyStopFingerprint)
+	}
+
+	adaptSet, err := sizeless.GenerateDataset(ctx,
+		sizeless.WithFunctions(8),
+		sizeless.WithRate(5),
+		sizeless.WithDuration(2*time.Second),
+		sizeless.WithSeed(13),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adapted, err := pred.Adapt(ctx, adaptSet,
+		sizeless.WithFineTuneEpochs(150),
+		sizeless.WithEarlyStopping(3),
+		sizeless.WithSeed(5),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err = adapted.Fingerprint(); err != nil {
+		t.Fatal(err)
+	}
+	if fp != goldenAdaptFingerprint {
+		t.Errorf("early-stopped adapted fingerprint = %s, want %s", fp, goldenAdaptFingerprint)
+	}
+	prov := adapted.Provenance()
+	if prov.EpochsSpent != goldenAdaptEpochsSpent || prov.EarlyStopped != goldenAdaptEarlyStopped {
+		t.Errorf("adapted provenance spent %d epochs (early stopped %v), want %d (%v)",
+			prov.EpochsSpent, prov.EarlyStopped, goldenAdaptEpochsSpent, goldenAdaptEarlyStopped)
 	}
 }
 

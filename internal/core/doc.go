@@ -11,9 +11,16 @@
 //   - model.go — ModelConfig (base size, prediction grid, feature set,
 //     network hyperparameters) and Train, which extracts the feature matrix
 //     and ratio targets, fits a standardizing scaler, and trains a small
-//     ensemble of networks through the shared worker pool (internal/pool,
-//     bounded by ModelConfig.Workers; each member derives its own seed, so
-//     results are identical for any worker count). Predict/PredictBatch run
+//     ensemble of networks. The members share the worker pool (bounded by
+//     ModelConfig.Workers) in epoch slices through pool.RunSlices: each
+//     member is an nn.Session, a resumable epoch loop, and a worker runs
+//     ceil(epochs/workers) of its epochs before taking the member with the
+//     most epochs left, so three members on two workers finish in 1.5
+//     member-times instead of 2. Each member derives its own seed and
+//     keeps its own weights, optimizer moments and shuffle stream, so
+//     results are identical for any worker count. A finished member is
+//     never trained again, so it drops its optimizer moments (twice its
+//     weights under Adam) at once. Predict/PredictBatch run
 //     the ensemble, clamp the predicted ratios to a physically plausible
 //     band, and project the per-size times onto the monotone region (more
 //     memory never predicts slower execution). Both run on
@@ -37,7 +44,7 @@
 //     nn package's mini-batch GEMM engine with Train — the freeze is
 //     applied at the engine level, so frozen layers skip backward compute
 //     entirely (not just the weight update), and ensemble members adapt
-//     concurrently through the same worker pool.
+//     in epoch slices through the same scheduler as Train.
 //
 //   - serialize.go — JSON persistence of weights, scaler, feature names,
 //     grid metadata, and (for adapted models) Provenance, so a saved model
@@ -61,7 +68,8 @@
 // Train, CrossValidate, FineTune, and GridSearchHalving all understand
 // validation-split early stopping: ModelConfig.{ValidationFraction,
 // Patience} (FineTuneOptions carries the same pair) hold rows out, score
-// them after every epoch through nn.TrainWithValidation, and return the
+// them after every epoch through the validation hook of nn.Session (the
+// loop behind nn.TrainWithValidation), and return the
 // best-validation weights rather than the last epoch's. FineTune records
 // the epochs actually spent (and whether patience cut the budget) in the
 // adapted model's Provenance — on tiny adaptation corpora the fixed

@@ -45,9 +45,10 @@ type FineTuneOptions struct {
 	// adapted model's Provenance and serialized with it; empty labels are
 	// fine.
 	Source, Target string
-	// Workers bounds how many ensemble members fine-tune concurrently
-	// (0 = GOMAXPROCS). Members are independent, so the adapted model is
-	// identical for any worker count.
+	// Workers bounds the fine-tuning parallelism (0 = GOMAXPROCS).
+	// Ensemble members share the workers in epoch slices; each runs the
+	// same epochs in the same order on its own state, so the adapted model
+	// is identical for any worker count.
 	Workers int
 }
 
@@ -149,31 +150,28 @@ func FineTune(ctx context.Context, m *Model, ds *dataset.Dataset, opts FineTuneO
 
 	// Every ensemble member shares the mini-batch training engine with
 	// Train: the freeze is applied at the engine level, so frozen layers
-	// skip backward compute entirely. Members adapt independently through
-	// the shared worker pool.
-	for _, net := range clone.nets {
+	// skip backward compute entirely. Members adapt independently, sharing
+	// the worker pool in epoch slices.
+	val := nn.Validation{X: vaX, Y: vaY, Patience: opts.Patience}
+	runs := make([]*nn.Session, len(clone.nets))
+	for i, net := range clone.nets {
 		if err := net.SetFrozenLayers(freeze); err != nil {
 			return nil, fmt.Errorf("core: fine-tune: %w", err)
 		}
-	}
-	stats := make([]nn.TrainStats, len(clone.nets))
-	err = pool.Run(ctx, len(clone.nets), opts.Workers, func(i int) error {
-		if vaX != nil {
-			st, err := clone.nets[i].TrainWithValidation(ctx, trX, trY, opts.Epochs,
-				nn.Validation{X: vaX, Y: vaY, Patience: opts.Patience}, nil)
-			stats[i] = st
-			return err
+		if runs[i], err = net.NewSession(trX, trY, opts.Epochs, val); err != nil {
+			return nil, fmt.Errorf("core: fine-tune: %w", err)
 		}
-		_, err := clone.nets[i].TrainEpochs(ctx, xs, y, opts.Epochs)
-		stats[i] = nn.TrainStats{EpochsRun: opts.Epochs}
-		return err
+	}
+	err = pool.RunSlices(ctx, len(runs), opts.Workers, opts.Epochs, func(i, epochs int) (bool, error) {
+		return trainSlice(ctx, runs[i], clone.nets[i], epochs)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: fine-tune: %w", err)
 	}
 	spent := 0
 	stopped := false
-	for _, st := range stats {
+	for _, run := range runs {
+		st := run.Stats()
 		if st.EpochsRun > spent {
 			spent = st.EpochsRun
 		}

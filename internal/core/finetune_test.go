@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -91,6 +92,10 @@ func TestFineTuneContextCancellation(t *testing.T) {
 	model := tunedBase(t)
 	ds := testDataset(t)
 	subset := ds.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	before, err := model.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first epoch boundary
@@ -98,7 +103,25 @@ func TestFineTuneContextCancellation(t *testing.T) {
 		t.Error("cancelled context should abort fine-tuning")
 	}
 
-	// The original model still works after an aborted adaptation.
+	// Cancelled in the middle of a slice: three members on two workers
+	// train 500-epoch slices, and the context is done after 40 epoch
+	// boundaries. Every member stops at its next boundary, no new slice
+	// starts, and the context's error comes back.
+	for _, patience := range []int{0, 1000} {
+		ctx := newCountdownCtx(40)
+		_, err := FineTune(ctx, model, subset, FineTuneOptions{Epochs: 1000, Patience: patience, Workers: 2})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("patience %d: cancelled mid-slice fine-tune returned %v, want context.Canceled", patience, err)
+		}
+		if n := ctx.polls.Load(); n > 60 {
+			t.Errorf("patience %d: %d context checks, want the members stopped right after the 40th", patience, n)
+		}
+	}
+
+	// The original model is untouched by the aborted adaptations.
+	if after, err := model.Fingerprint(); err != nil || after != before {
+		t.Errorf("source model changed by aborted fine-tunes: %s → %s (%v)", before, after, err)
+	}
 	if _, err := model.Predict(ds.Rows[0].Summaries[platform.Mem256]); err != nil {
 		t.Errorf("source model broken after aborted fine-tune: %v", err)
 	}

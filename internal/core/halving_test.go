@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"sizeless/internal/nn"
@@ -153,17 +154,24 @@ func TestHalvingWorkerCountInvariant(t *testing.T) {
 
 // countdownCtx trips its Err after a fixed number of polls — deterministic
 // mid-flight cancellation (the engine polls once per epoch, the pool once
-// per job).
+// per job or slice). It is safe for concurrent workers and counts every
+// poll.
 type countdownCtx struct {
 	context.Context
-	remaining int
+	remaining, polls atomic.Int64
+}
+
+func newCountdownCtx(polls int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.remaining.Store(polls)
+	return c
 }
 
 func (c *countdownCtx) Err() error {
-	if c.remaining <= 0 {
+	c.polls.Add(1)
+	if c.remaining.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.remaining--
 	return nil
 }
 
@@ -172,7 +180,7 @@ func (c *countdownCtx) Err() error {
 // no partial result.
 func TestHalvingCancelMidRoundReturnsPromptly(t *testing.T) {
 	ds := testDataset(t)
-	ctx := &countdownCtx{Context: context.Background(), remaining: 25}
+	ctx := newCountdownCtx(25)
 	res, err := GridSearchHalving(ctx, ds, halvingBase(), halvingTestGrid(40), HalvingOptions{Seed: 5})
 	if err == nil {
 		t.Fatal("cancelled halving should return an error")
@@ -182,36 +190,74 @@ func TestHalvingCancelMidRoundReturnsPromptly(t *testing.T) {
 	}
 }
 
-// TestTrainEarlyStoppingIsDeterministic: the Patience/ValidationFraction
-// knobs produce the same model for any worker count, and the validation
-// split leaves the training path deterministic end to end.
+// TestTrainEarlyStoppingIsDeterministic: training and fine-tuning produce
+// the same model bytes for any worker count and ensemble size, on the
+// budget path and on the validation path with and without patience. The
+// worker counts cover one slice per member (workers ≥ members), uneven
+// slices (23 epochs over 2, 3 or 4 workers), and members that stop early
+// in the middle of a slice.
 func TestTrainEarlyStoppingIsDeterministic(t *testing.T) {
 	ds := testDataset(t)
-	cfg := smallConfig(platform.Mem256)
-	cfg.Epochs = 150
-	cfg.Patience = 8
-	train := func(workers int) *Model {
-		c := cfg
-		c.Workers = workers
-		m, err := Train(context.Background(), ds, c)
+	adapt := ds.Subset([]int{3, 5, 8, 13, 21, 34, 55, 89})
+	fingerprint := func(m *Model) string {
+		t.Helper()
+		fp, err := m.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return fp
 	}
-	a, b := train(1), train(3)
-	s := ds.Rows[0].Summaries[platform.Mem256]
-	pa, err := a.PredictRatios(s)
-	if err != nil {
-		t.Fatal(err)
+	modes := []struct {
+		name               string
+		patience           int
+		validationFraction float64
+	}{
+		{"budget", 0, 0},
+		{"split", 0, 0.25},
+		{"patience", 3, 0},
 	}
-	pb, err := b.PredictRatios(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("early-stopped training differs across worker counts at target %d", i)
+	for _, ensemble := range []int{1, 2, 3, 5} {
+		for _, mode := range modes {
+			var want, wantTuned string
+			var wantProv Provenance
+			for _, workers := range []int{1, 2, 3, 4} {
+				cfg := smallConfig(platform.Mem256)
+				cfg.Hidden = []int{12, 12}
+				cfg.Epochs = 23
+				cfg.EnsembleSize = ensemble
+				cfg.Patience = mode.patience
+				cfg.ValidationFraction = mode.validationFraction
+				cfg.Workers = workers
+				m, err := Train(context.Background(), ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tuned, err := FineTune(context.Background(), m, adapt, FineTuneOptions{
+					Epochs:             29,
+					Patience:           mode.patience,
+					ValidationFraction: mode.validationFraction,
+					Seed:               7,
+					Workers:            workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotTuned, gotProv := fingerprint(m), fingerprint(tuned), tuned.Provenance()
+				if workers == 1 {
+					want, wantTuned, wantProv = got, gotTuned, gotProv
+					continue
+				}
+				if got != want {
+					t.Errorf("ensemble %d, %s: Train with %d workers = %s, with 1 = %s", ensemble, mode.name, workers, got, want)
+				}
+				if gotTuned != wantTuned || gotProv != wantProv {
+					t.Errorf("ensemble %d, %s: FineTune with %d workers = %s %+v, with 1 = %s %+v",
+						ensemble, mode.name, workers, gotTuned, gotProv, wantTuned, wantProv)
+				}
+			}
+			if mode.patience > 0 && !wantProv.EarlyStopped {
+				t.Errorf("ensemble %d: no member stopped early, so the sweep misses early finishes", ensemble)
+			}
 		}
 	}
 }

@@ -43,10 +43,13 @@ type ModelConfig struct {
 	// 2000 functions; at smaller dataset sizes a small ensemble removes
 	// the prediction jitter of individual networks. Default: 3.
 	EnsembleSize int
-	// Workers bounds how many ensemble members (and, in CrossValidate,
-	// folds) train concurrently: 0 = GOMAXPROCS, 1 = sequential. It is a
-	// scheduling knob, not a hyperparameter — results are identical for
-	// any value because every member derives its own seed.
+	// Workers bounds the training parallelism (0 = GOMAXPROCS, 1 =
+	// sequential). Ensemble members share the workers in epoch slices, so
+	// three members on two workers keep both busy to the end; in
+	// CrossValidate, folds run concurrently instead. It is a scheduling
+	// knob, not a hyperparameter: every member derives its own seed and
+	// trains the same epochs in the same order, so the model is identical
+	// for any value.
 	Workers int
 	// ValidationFraction holds this fraction of rows out of training as a
 	// per-epoch validation split: every ensemble member returns its
@@ -293,37 +296,36 @@ func Train(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig) (*Model, e
 		}
 	}
 
-	// Ensemble members are independent; train them through the shared
-	// bounded worker pool. Each member derives its own seed, so the result
-	// does not depend on scheduling or worker count.
+	// Ensemble members are independent; they share the worker pool in
+	// epoch slices. Each member derives its own seed and keeps its own
+	// weights, optimizer moments and shuffle stream, so the result does
+	// not depend on scheduling or worker count.
 	nets := make([]*nn.Network, cfg.EnsembleSize)
-	err = pool.Run(ctx, cfg.EnsembleSize, cfg.Workers, func(e int) error {
-		net, err := nn.New(nn.Config{
-			Inputs:       len(cfg.Features),
-			Outputs:      len(targets),
-			Hidden:       cfg.Hidden,
-			Optimizer:    cfg.Optimizer,
-			Loss:         cfg.Loss,
-			L2:           cfg.L2,
-			Epochs:       cfg.Epochs,
-			LearningRate: cfg.LearningRate,
-			BatchSize:    cfg.BatchSize,
-			Seed:         cfg.Seed + int64(e)*9973,
-		})
-		if err != nil {
-			return err
+	runs := make([]*nn.Session, cfg.EnsembleSize)
+	val := nn.Validation{X: vaX, Y: vaY, Patience: cfg.Patience}
+	err = pool.RunSlices(ctx, cfg.EnsembleSize, cfg.Workers, cfg.Epochs, func(e, epochs int) (bool, error) {
+		if runs[e] == nil {
+			net, err := nn.New(nn.Config{
+				Inputs:       len(cfg.Features),
+				Outputs:      len(targets),
+				Hidden:       cfg.Hidden,
+				Optimizer:    cfg.Optimizer,
+				Loss:         cfg.Loss,
+				L2:           cfg.L2,
+				Epochs:       cfg.Epochs,
+				LearningRate: cfg.LearningRate,
+				BatchSize:    cfg.BatchSize,
+				Seed:         cfg.Seed + int64(e)*9973,
+			})
+			if err != nil {
+				return false, err
+			}
+			if runs[e], err = net.NewSession(trX, trY, cfg.Epochs, val); err != nil {
+				return false, err
+			}
+			nets[e] = net
 		}
-		if vaX != nil {
-			_, err = net.TrainWithValidation(ctx, trX, trY, net.Config().Epochs,
-				nn.Validation{X: vaX, Y: vaY, Patience: cfg.Patience}, nil)
-		} else {
-			_, err = net.Train(ctx, trX, trY)
-		}
-		if err != nil {
-			return err
-		}
-		nets[e] = net
-		return nil
+		return trainSlice(ctx, runs[e], nets[e], epochs)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -333,6 +335,18 @@ func Train(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig) (*Model, e
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return m, nil
+}
+
+// trainSlice runs one slice of an ensemble member's training. A member
+// that has finished is never trained again (FineTune clones through
+// Save/Load), so its optimizer moments are dropped at once rather than
+// held while the other members train.
+func trainSlice(ctx context.Context, run *nn.Session, net *nn.Network, epochs int) (bool, error) {
+	done, err := run.Train(ctx, epochs, nil)
+	if done {
+		net.DropOptimizerState()
+	}
+	return done, err
 }
 
 // Config returns the model's configuration.

@@ -20,9 +20,10 @@ type TrainJob struct {
 // experiments. Results align positionally with jobs.
 //
 // The pool owns the parallelism budget: each job's ensemble members train
-// sequentially inside their worker (call Train directly with
-// ModelConfig.Workers to parallelize a single model instead). Every job is
-// seeded by its own config, so results are identical for any worker count.
+// one after another inside their worker (call Train directly with
+// ModelConfig.Workers to share the workers among one model's members in
+// epoch slices instead). Every job is seeded by its own config, so results
+// are identical for any worker count.
 // Cancelling ctx abandons unstarted jobs and returns the context's error;
 // a failed job does not stop the others, and the lowest-indexed error is
 // returned.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sizeless/internal/optimizer"
 	"sizeless/internal/platform"
+	"sizeless/internal/xrand"
 )
 
 // coldlessConfig is a planner config with the cold-start model switched
@@ -325,4 +327,106 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Optimize(ctx, g, coldlessConfig(512)); err == nil {
 		t.Error("infeasible grid accepted")
 	}
+}
+
+// randomGraph builds a small random application: up to five functions
+// with noisy per-size times on a random subset of up to four sizes, and
+// random forward edges (so the graph is acyclic) with mixed triggers and
+// fan-outs.
+func randomGraph(t *testing.T, rng *xrand.Stream) (*Graph, []platform.MemorySize) {
+	t.Helper()
+	grid := []platform.MemorySize{128, 256, 512, 1024, 2048, 3008}
+	var sizes []platform.MemorySize
+	for _, i := range rng.Perm(len(grid))[:1+rng.Intn(4)] {
+		sizes = append(sizes, grid[i])
+	}
+	res := platform.DefaultResourceModel()
+	g := New("random")
+	n := 1 + rng.Intn(5)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = string(rune('A' + i))
+		work := rng.Uniform(5, 200)
+		times := make(map[platform.MemorySize]float64, len(sizes))
+		for _, m := range sizes {
+			times[m] = work/res.SingleThreadSpeed(m)*rng.Uniform(0.8, 1.25) + rng.Uniform(0, 5)
+		}
+		mustAdd(t, g, spec(names[i], rng.Uniform(10, 60)), times)
+	}
+	triggers := []Trigger{TriggerSync, TriggerQueue, TriggerStream}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if !rng.Bernoulli(0.45) {
+				continue
+			}
+			e := Edge{From: names[i], To: names[j], Trigger: triggers[rng.Intn(len(triggers))]}
+			if rng.Bernoulli(0.2) {
+				e.Calls = 2
+			}
+			mustConnect(t, g, e)
+		}
+	}
+	return g, sizes
+}
+
+// TestDescentNeverBeatsExhaustive is the planner oracle: on seeded random
+// small DAGs, the coordinate-descent fallback (forced by MaxExhaustive 1)
+// never scores better than the default exhaustive search — for the free
+// searches and for Compare's no-regression searches alike. A better
+// descent score would mean the exhaustive search pruned away its own
+// optimum. The test logs how far descent falls short.
+func TestDescentNeverBeatsExhaustive(t *testing.T) {
+	ctx := context.Background()
+	rng := xrand.New(2024).Derive("planner-oracle")
+	var gaps []float64
+	for trial := 0; trial < 120; trial++ {
+		g, sizes := randomGraph(t, rng)
+		cfg := Config{
+			Platform: platform.DefaultConfig(),
+			Sizes:    sizes,
+			Tradeoff: []float64{0.25, 0.5, 0.75, 1}[rng.Intn(4)],
+			Rate:     rng.Uniform(2, 40),
+			Seed:     int64(trial),
+		}
+		descCfg := cfg
+		descCfg.MaxExhaustive = 1
+		check := func(what string, exh, desc *Plan) {
+			if desc.STotal < exh.STotal {
+				t.Errorf("trial %d, %s: descent S_total %v beats exhaustive %v (%v vs %v)",
+					trial, what, desc.STotal, exh.STotal, desc.Groups, exh.Groups)
+			}
+			gaps = append(gaps, desc.STotal/exh.STotal-1)
+		}
+		exh, err := Optimize(ctx, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc, err := Optimize(ctx, g, descCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Optimize", exh, desc)
+		if exh, err = OptimizeSizes(ctx, g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if desc, err = OptimizeSizes(ctx, g, descCfg); err != nil {
+			t.Fatal(err)
+		}
+		check("OptimizeSizes", exh, desc)
+		exhCmp, err := Compare(ctx, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		descCmp, err := Compare(ctx, g, descCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Compare sizes-only", exhCmp.SizesOnly, descCmp.SizesOnly)
+		check("Compare fused", exhCmp.Fused, descCmp.Fused)
+	}
+	sort.Float64s(gaps)
+	exact := sort.SearchFloat64s(gaps, 1e-12)
+	q := func(p float64) float64 { return gaps[int(p*float64(len(gaps)-1))] }
+	t.Logf("descent gap over %d searches: %d exact, median %.3g, p90 %.3g, p99 %.3g, max %.3g",
+		len(gaps), exact, q(0.5), q(0.9), q(0.99), gaps[len(gaps)-1])
 }

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"context"
-	"errors"
-)
+import "context"
 
 // Validation configures the per-epoch validation hook of
 // TrainWithValidation: a held-out split scored after every epoch, with
@@ -48,12 +45,12 @@ type TrainStats struct {
 }
 
 // TrainWithValidation trains like TrainWith but scores v's held-out split
-// after every epoch, snapshots the best weights seen (into the scratch —
-// no steady-state allocations), and stops after v.Patience stagnant
-// epochs. On return the network holds the best-validation weights, not the
-// last epoch's: its loss on (v.X, v.Y) equals TrainStats.ValLoss
-// bit-for-bit. Cancelling ctx returns the context's error and keeps the
-// last completed epoch's weights, exactly like Train.
+// after every epoch, snapshots the best weights seen, and stops after
+// v.Patience stagnant epochs. On return the network holds the
+// best-validation weights, not the last epoch's: its loss on (v.X, v.Y)
+// equals TrainStats.ValLoss bit-for-bit. Cancelling ctx returns the
+// context's error and keeps the last completed epoch's weights, exactly
+// like Train.
 //
 // The returned network is a finished artifact, not a staged-training
 // checkpoint: restoring the best epoch's weights leaves the optimizer
@@ -63,12 +60,10 @@ type TrainStats struct {
 // validation restore); put TrainWithValidation only at the end of a
 // staged schedule. Nil ts borrows pooled scratch.
 func (n *Network) TrainWithValidation(ctx context.Context, x, y [][]float64, epochs int, v Validation, ts *TrainScratch) (TrainStats, error) {
-	if epochs <= 0 {
-		return TrainStats{}, errors.New("nn: epochs must be positive")
+	var s Session
+	if err := s.init(n, x, y, epochs, v); err != nil {
+		return TrainStats{}, err
 	}
-	if ts == nil {
-		ts = trainScratchPool.Get().(*TrainScratch)
-		defer trainScratchPool.Put(ts)
-	}
-	return n.trainValidate(ctx, x, y, epochs, v, ts)
+	_, err := s.Train(ctx, epochs, ts)
+	return s.st, err
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -280,5 +281,69 @@ func TestFrozenLayersSurviveBestRestore(t *testing.T) {
 	}
 	if got != st.ValLoss {
 		t.Errorf("restored validation loss %v != tracked best %v", got, st.ValLoss)
+	}
+}
+
+// TestSessionSlicesMatchOneCall: a validated session advanced in uneven
+// slices, and resumed after a cancellation in the middle of one, trains
+// exactly what one TrainWithValidation call trains, bit for bit, whether
+// patience stops it or the budget runs out.
+func TestSessionSlicesMatchOneCall(t *testing.T) {
+	x, y := makeNoisyData(70, 3, 1, 0.3, 5)
+	trX, trY, vaX, vaY := splitVal(x, y, 40)
+	cfg := Config{Inputs: 3, Outputs: 1, Hidden: []int{16}, Epochs: 500, Seed: 11, LearningRate: 0.02}
+	const budget = 120
+	for _, patience := range []int{0, 5} {
+		v := Validation{X: vaX, Y: vaY, Patience: patience}
+		want, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSt, err := want.TrainWithValidation(context.Background(), trX, trY, budget, v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stopped := patience > 0; wantSt.EarlyStopped != stopped || wantSt.EpochsRun < 20 {
+			t.Fatalf("patience %d: the reference run stopped early %v after %d epochs; the test needs %v after 20 or more",
+				patience, wantSt.EarlyStopped, wantSt.EpochsRun, stopped)
+		}
+
+		got, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := got.NewSession(trX, trY, budget, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := NewTrainScratch()
+		if done, err := s.Train(context.Background(), 7, ts); done || err != nil {
+			t.Fatalf("patience %d: first slice finished=%v err=%v", patience, done, err)
+		}
+		cancelled := &countdownCtx{Context: context.Background(), remaining: 3}
+		if _, err := s.Train(cancelled, 10, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("patience %d: cancelled slice returned %v", patience, err)
+		}
+		if st := s.Stats(); st.EpochsRun != 10 {
+			t.Fatalf("patience %d: %d epochs after the cancelled slice, want 10", patience, st.EpochsRun)
+		}
+		for done := false; !done; {
+			if done, err = s.Train(context.Background(), 13, ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.Stats(); st != wantSt {
+			t.Errorf("patience %d: sliced stats %+v, one call %+v", patience, st, wantSt)
+		}
+		for li := range got.layers {
+			for i := range got.layers[li].w {
+				if got.layers[li].w[i] != want.layers[li].w[i] {
+					t.Fatalf("patience %d: sliced run differs at layer %d weight %d", patience, li, i)
+				}
+			}
+		}
+		if done, err := s.Train(context.Background(), 5, nil); !done || err != nil || s.Stats() != wantSt {
+			t.Errorf("patience %d: a finished session trained again (done=%v err=%v)", patience, done, err)
+		}
 	}
 }

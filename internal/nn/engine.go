@@ -2,8 +2,6 @@ package nn
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -23,36 +21,17 @@ import (
 // sequential Train calls on networks of any shape; the zero value is
 // ready to use. Its contents are unspecified between calls.
 type TrainScratch struct {
-	xb    []float64   // gathered input batch, batch×inputs
-	acts  [][]float64 // post-activations per layer, batch×out
-	delta [][]float64 // dL/dZ per layer, batch×out
-	gradW [][]float64 // per-layer weight-gradient accumulator, out×in
-	gradB [][]float64 // per-layer bias-gradient accumulator, out
-	perm  []int       // epoch shuffle order, len(x)
-
-	// Validation-scoring state (TrainWithValidation only): the one-row
-	// forward scratch of the per-epoch validation pass, and the
-	// best-validation weight/bias snapshot restored when training ends.
-	val   ForwardScratch
-	bestW [][]float64
-	bestB [][]float64
+	xb    []float64      // gathered input batch, batch×inputs
+	acts  [][]float64    // post-activations per layer, batch×out
+	delta [][]float64    // dL/dZ per layer, batch×out
+	gradW [][]float64    // per-layer weight-gradient accumulator, out×in
+	gradB [][]float64    // per-layer bias-gradient accumulator, out
+	perm  []int          // epoch shuffle order, len(x)
+	val   ForwardScratch // one-row forward buffers of the validation pass
 }
 
 // NewTrainScratch returns an empty scratch; buffers grow on first use.
 func NewTrainScratch() *TrainScratch { return &TrainScratch{} }
-
-// ensureVal sizes the best-weights snapshot (the validation forward pass
-// sizes its own scratch). Snapshot space is allocated for every layer
-// (frozen layers are skipped by snapshot/restore, but the scratch is
-// shape-agnostic and reused across networks).
-func (ts *TrainScratch) ensureVal(n *Network) {
-	ts.bestW = growMatrix(ts.bestW, len(n.layers))
-	ts.bestB = growMatrix(ts.bestB, len(n.layers))
-	for li, l := range n.layers {
-		ts.bestW[li] = growFloats(ts.bestW[li], len(l.w))
-		ts.bestB[li] = growFloats(ts.bestB[li], len(l.b))
-	}
-}
 
 // ensure sizes every buffer for one batch of the network's shape.
 func (ts *TrainScratch) ensure(n *Network, batch int) {
@@ -96,23 +75,15 @@ var trainScratchPool = sync.Pool{New: func() any { return &TrainScratch{} }}
 // boundary and returns the context's error; the network remains usable
 // (it keeps the weights of the last completed epoch).
 func (n *Network) Train(ctx context.Context, x, y [][]float64) (float64, error) {
-	ts := trainScratchPool.Get().(*TrainScratch)
-	defer trainScratchPool.Put(ts)
-	return n.train(ctx, x, y, n.cfg.Epochs, ts)
+	return n.TrainWith(ctx, x, y, n.cfg.Epochs, nil)
 }
 
 // TrainWith is Train with an explicit epoch budget and caller-owned
 // scratch (nil borrows from the internal pool). It does not reset
 // optimizer state, so it composes into staged schedules like TrainEpochs.
 func (n *Network) TrainWith(ctx context.Context, x, y [][]float64, epochs int, ts *TrainScratch) (float64, error) {
-	if epochs <= 0 {
-		return 0, errors.New("nn: epochs must be positive")
-	}
-	if ts == nil {
-		ts = trainScratchPool.Get().(*TrainScratch)
-		defer trainScratchPool.Put(ts)
-	}
-	return n.train(ctx, x, y, epochs, ts)
+	st, err := n.TrainWithValidation(ctx, x, y, epochs, Validation{}, ts)
+	return st.TrainLoss, err
 }
 
 // shuffleStream returns the network's epoch-shuffle stream, derived from
@@ -126,142 +97,6 @@ func (n *Network) shuffleStream() *xrand.Stream {
 		n.shuffle = xrand.New(n.cfg.Seed).Derive("nn-shuffle")
 	}
 	return n.shuffle
-}
-
-// train is the shared epoch loop. The per-epoch permutation draws the same
-// random sequence as the original per-sample engine, so a fixed seed
-// reproduces the same batch composition.
-func (n *Network) train(ctx context.Context, x, y [][]float64, epochs int, ts *TrainScratch) (float64, error) {
-	st, err := n.trainValidate(ctx, x, y, epochs, Validation{}, ts)
-	return st.TrainLoss, err
-}
-
-// trainValidate is the engine's epoch loop with an optional per-epoch
-// validation hook: when v carries a held-out split, every epoch scores it,
-// the best weights seen are snapshotted into the scratch, and training
-// stops early after v.Patience stagnant epochs. On normal return the
-// network holds the best-validation weights; on context cancellation it
-// keeps the last completed epoch's weights (consistent with Train).
-func (n *Network) trainValidate(ctx context.Context, x, y [][]float64, epochs int, v Validation, ts *TrainScratch) (TrainStats, error) {
-	var st TrainStats
-	if len(x) == 0 || len(x) != len(y) {
-		return st, errors.New("nn: empty or mismatched training data")
-	}
-	for i := range x {
-		if len(x[i]) != n.cfg.Inputs {
-			return st, fmt.Errorf("nn: sample %d has %d features, want %d", i, len(x[i]), n.cfg.Inputs)
-		}
-		if len(y[i]) != n.cfg.Outputs {
-			return st, fmt.Errorf("nn: target %d has %d values, want %d", i, len(y[i]), n.cfg.Outputs)
-		}
-	}
-	hasVal := len(v.X) > 0
-	if hasVal {
-		if len(v.X) != len(v.Y) {
-			return st, errors.New("nn: mismatched validation data")
-		}
-		for i := range v.X {
-			if len(v.X[i]) != n.cfg.Inputs || len(v.Y[i]) != n.cfg.Outputs {
-				return st, fmt.Errorf("nn: validation sample %d has wrong shape", i)
-			}
-		}
-		ts.ensureVal(n)
-	}
-	n.ensureOptState()
-	batch := n.cfg.BatchSize
-	if batch > len(x) {
-		batch = len(x)
-	}
-	ts.ensure(n, batch)
-	if cap(ts.perm) < len(x) {
-		ts.perm = make([]int, len(x))
-	} else {
-		ts.perm = ts.perm[:len(x)]
-	}
-	rng := n.shuffleStream()
-	bestVal := math.Inf(1)
-	patienceRef := math.Inf(1)
-	stagnant := 0
-	for epoch := 0; epoch < epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return st, fmt.Errorf("nn: training cancelled: %w", err)
-		}
-		rng.PermInto(ts.perm)
-		var epochLoss float64
-		for start := 0; start < len(ts.perm); start += n.cfg.BatchSize {
-			end := start + n.cfg.BatchSize
-			if end > len(ts.perm) {
-				end = len(ts.perm)
-			}
-			epochLoss += n.trainBatch(x, y, ts.perm[start:end], ts)
-		}
-		st.TrainLoss = epochLoss / float64(len(x))
-		st.EpochsRun = epoch + 1
-		if !hasVal {
-			continue
-		}
-		valLoss := n.evalWith(v.X, v.Y, ts)
-		if valLoss < bestVal {
-			// Strict-minimum tracking, independent of MinDelta: the
-			// returned network's validation loss is exactly the minimum
-			// observed across all epochs.
-			bestVal = valLoss
-			st.BestEpoch = epoch + 1
-			n.snapshotInto(ts)
-		}
-		if v.Observer != nil {
-			v.Observer(epoch+1, st.TrainLoss, valLoss)
-		}
-		if valLoss < patienceRef-v.MinDelta {
-			patienceRef = valLoss
-			stagnant = 0
-		} else {
-			stagnant++
-			if v.Patience > 0 && stagnant >= v.Patience {
-				st.EarlyStopped = true
-				break
-			}
-		}
-	}
-	if hasVal && st.BestEpoch > 0 {
-		n.restoreFrom(ts)
-		st.ValLoss = bestVal
-	}
-	return st, nil
-}
-
-// evalWith computes the mean loss over (x, y) without training, one row
-// at a time through the scratch's validation forward buffers — the
-// allocation-free per-epoch validation pass. Summation order matches
-// EvalLoss exactly, so the two agree bit-for-bit on the same weights.
-func (n *Network) evalWith(x, y [][]float64, ts *TrainScratch) float64 {
-	var total float64
-	for i := range x {
-		total += n.lossValue(n.forward(&ts.val, x[i:i+1]), y[i])
-	}
-	return total / float64(len(x))
-}
-
-// snapshotInto copies the trainable layers' weights and biases into the
-// scratch's best-weights buffers. Frozen layers never change during a
-// training call, so they are skipped — the fine-tune fast path snapshots
-// only the adapting tail.
-func (n *Network) snapshotInto(ts *TrainScratch) {
-	for li := n.frozen; li < len(n.layers); li++ {
-		l := n.layers[li]
-		copy(ts.bestW[li][:len(l.w)], l.w)
-		copy(ts.bestB[li][:len(l.b)], l.b)
-	}
-}
-
-// restoreFrom writes the snapshotted best weights back into the network,
-// bit-for-bit.
-func (n *Network) restoreFrom(ts *TrainScratch) {
-	for li := n.frozen; li < len(n.layers); li++ {
-		l := n.layers[li]
-		copy(l.w, ts.bestW[li][:len(l.w)])
-		copy(l.b, ts.bestB[li][:len(l.b)])
-	}
 }
 
 // trainBatch pushes one mini-batch through the network as (batch × dim)

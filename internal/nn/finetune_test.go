@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"context"
 	"testing"
 )
@@ -88,5 +89,45 @@ func TestTrainEpochsContinues(t *testing.T) {
 	}
 	if _, err := net.TrainEpochs(context.Background(), x, y, 0); err == nil {
 		t.Error("zero epochs should error")
+	}
+}
+
+// TestDropOptimizerStateKeepsModel: dropping a trained network's optimizer
+// state frees the moment buffers and step count but leaves the weights,
+// and so predictions and saved bytes, alone; training again starts a
+// fresh optimizer.
+func TestDropOptimizerStateKeepsModel(t *testing.T) {
+	x, y := makeLinearData(60, 3, 2, 17)
+	net, err := New(Config{Inputs: 3, Outputs: 2, Hidden: []int{8}, Epochs: 15, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Train(context.Background(), x, y); err != nil {
+		t.Fatal(err)
+	}
+	var before, after bytes.Buffer
+	if err := net.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	net.DropOptimizerState()
+	if err := net.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("dropping the optimizer state changed the saved network")
+	}
+	if net.step != 0 {
+		t.Errorf("step = %d after the drop, want 0", net.step)
+	}
+	for li, d := range net.layers {
+		if d.mW != nil || d.mB != nil || d.vW != nil || d.vB != nil {
+			t.Errorf("layer %d still holds optimizer moments", li)
+		}
+	}
+	if _, err := net.TrainEpochs(context.Background(), x, y, 2); err != nil {
+		t.Fatal(err)
+	}
+	if net.step == 0 || net.layers[0].mW == nil {
+		t.Error("training after the drop did not start a fresh optimizer")
 	}
 }

@@ -20,11 +20,16 @@
 // update. See engine.go for the kernels and TrainScratch for the buffer
 // ownership rules.
 //
-// TrainWithValidation adds a per-epoch validation hook on top of the same
-// loop: a held-out split is scored after every epoch (allocation-free, via
-// the scratch), the best weights seen are snapshotted, and training stops
-// after a configurable patience — the returned network is the
-// best-validation model, not the last-epoch one. The epoch-shuffle stream
+// Train, TrainWith and TrainWithValidation all run one epoch loop, a
+// Session: a resumable training run that keeps its budget, stats and
+// early-stopping state between slices of epochs, so a scheduler can
+// interleave many networks' training on a few workers (one TrainScratch
+// per worker) without changing a bit of any network. TrainWithValidation
+// adds a per-epoch validation hook on top of the same loop: a held-out
+// split is scored after every epoch (allocation-free, via the scratch),
+// the best weights seen are snapshotted, and training stops after a
+// configurable patience — the returned network is the best-validation
+// model, not the last-epoch one. The epoch-shuffle stream
 // persists across training calls, so staged plain-training schedules
 // (TrainWith segments, TrainEpochs, the successive-halving search in
 // internal/core) reproduce a continuous run bit-for-bit; a validated run's
@@ -198,6 +203,18 @@ func (n *Network) ensureOptState() {
 				d.vB = make([]float64, len(d.b))
 			}
 		}
+	}
+}
+
+// DropOptimizerState releases the optimizer's moment buffers (under Adam,
+// twice the memory of the weights) and its step count, leaving the
+// network as a freshly loaded one: it predicts the same, and training it
+// again starts the optimizer afresh. It is for a network that is done
+// training; a staged schedule must not call it between segments.
+func (n *Network) DropOptimizerState() {
+	n.step = 0
+	for _, d := range n.layers {
+		d.mW, d.mB, d.vW, d.vB = nil, nil, nil, nil
 	}
 }
 

@@ -115,10 +115,12 @@ func WithSizes(sizes ...MemorySize) Option {
 }
 
 // WithWorkers bounds parallelism across the pipeline: measurement
-// campaigns, model training (ensemble members in TrainPredictor and
-// Predictor.Adapt train through a shared worker pool), and batch
-// prediction (0 = GOMAXPROCS). Results never depend on the worker count —
-// every parallel unit derives its own random stream.
+// campaigns, model training (the ensemble members of TrainPredictor and
+// Predictor.Adapt share the workers in epoch slices, so no worker idles
+// while a member has epochs left), and batch prediction (0 = GOMAXPROCS).
+// Results never depend on the worker count: every parallel unit derives
+// its own random stream, and each member trains the same epochs in the
+// same order.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
