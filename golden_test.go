@@ -27,9 +27,9 @@ import (
 
 // The golden constants below pin the per-seed behaviour contract: seeded
 // measurement campaigns (a dataset CSV, Fig. 1, the case studies, the app
-// matrix), a seeded dataset → train → recommend run, a seeded
-// fleet-synthesis run and a seeded fleet snapshot must reproduce these
-// exact bytes. A change to any kernel summation order, RNG
+// matrix), the scenario matrix, a seeded dataset → train → recommend run,
+// a seeded fleet-synthesis run and a seeded fleet snapshot must reproduce
+// these exact bytes. A change to any kernel summation order, RNG
 // derivation, serialization or warm-pool rule shows up here first. Update
 // a constant only for a change that is meant to alter seeded output, and
 // say so in the change description.
@@ -48,6 +48,7 @@ const (
 	goldenAppMatrixSHA  = "c7b07245a0a61723f3a21278d1d806f64e608a2d1a22d0189163487242b85bd1"
 	goldenCaseStudySHA  = "ab8f7319731e228968812eb0149b3d0936a6ac3f7e86c8ec64c20c74c25df6bf"
 	goldenSnapshotSHA   = "a65eff474b8b66486b659c2fd27e3b6ffa3390005bbc2d95db1baded8206aef8"
+	goldenScenarioSHA   = "a3d04756f0363f58df8a21f6552424d4246da18692eea0d60d5f2d331f166abe"
 
 	// Early-stopped training and adaptation: every member holds a
 	// validation split out, stops on patience and keeps its best weights.
@@ -118,6 +119,19 @@ func TestGoldenAppMatrixPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex([]byte(res.Render())); got != goldenAppMatrixSHA {
 		t.Errorf("AppMatrix render sha256 = %s, want %s", got, goldenAppMatrixSHA)
+	}
+}
+
+// TestGoldenScenarioMatrixPerSeed pins the rendered scenario matrix, the
+// one experiment that runs the recommender's drift loop over
+// fleetsynth.Stream.
+func TestGoldenScenarioMatrixPerSeed(t *testing.T) {
+	res, err := experiments.ScenarioMatrix(context.Background(), experiments.NewLab(experiments.SmallScale()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex([]byte(res.Render())); got != goldenScenarioSHA {
+		t.Errorf("ScenarioMatrix render sha256 = %s, want %s", got, goldenScenarioSHA)
 	}
 }
 
