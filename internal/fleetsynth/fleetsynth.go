@@ -3,7 +3,9 @@
 // vectors so those harnesses time the ingest pipeline (summarize → drift →
 // predict → optimize) rather than the platform simulator. One definition
 // keeps the benchmarks and the concurrency suite measuring the same
-// workload shape.
+// workload shape. Stream and ColdFraction take their cold starts from
+// internal/warmpool, the same instance lifecycle the harness deployments
+// (internal/lambda) replay load through.
 package fleetsynth
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"sizeless/internal/loadgen"
 	"sizeless/internal/monitoring"
+	"sizeless/internal/warmpool"
 	"sizeless/internal/xrand"
 )
 
@@ -39,9 +40,9 @@ type StreamConfig struct {
 }
 
 // Stream slices an arrival schedule into per-window invocation batches with
-// a load-dependent cold-start model: the warm pool shared with
-// ColdFraction (idle-gap reclamation after KeepAlive, LIFO routing to the
-// most recently used warm instance, a new cold instance when none is
+// a load-dependent cold-start model: the internal/warmpool lifecycle shared
+// with ColdFraction (idle-gap reclamation after KeepAlive, LIFO routing to
+// the most recently used warm instance, a new cold instance when none is
 // idle). Sparse traffic therefore pays cold starts on idle gaps, spikes pay
 // them on concurrency growth, and steady moderate traffic stays warm —
 // cold-start frequency tracks the workload shape rather than a fixed
@@ -66,8 +67,8 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 	nWindows := int((cfg.Horizon + cfg.Window - 1) / cfg.Window)
 	out := make([][]monitoring.Invocation, nWindows)
 
-	pool := warmPool{keepAlive: cfg.KeepAlive}
-	for _, t := range sortedArrivals(sched) {
+	pool := warmpool.New[struct{}](cfg.KeepAlive)
+	for _, t := range sched.Sorted() {
 		if t < 0 || t >= cfg.Horizon {
 			continue
 		}
@@ -81,7 +82,12 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 		inv := monitoring.Invocation{Start: t}
 		fill(rng, &inv, ws)
 		inv.Duration = time.Duration(inv.Metrics[monitoring.ExecutionTime] * float64(time.Millisecond))
-		inv.ColdStart = pool.route(t, inv.Duration)
+		in := pool.Warm(t)
+		if in == nil {
+			in = pool.Start(struct{}{})
+			inv.ColdStart = true
+		}
+		in.Serve(t + inv.Duration)
 		out[w] = append(out[w], inv)
 	}
 	return out, nil

@@ -83,20 +83,8 @@ func (o Options) withDefaults() Options {
 // load, returning the aggregated summary. rep distinguishes measurement
 // repetitions.
 func measure(opts Options, spec *workload.Spec, m platform.MemorySize, rep int) (monitoring.Summary, lambda.Result, error) {
-	opts = opts.withDefaults()
-	root := xrand.New(opts.Seed)
-	expName := fmt.Sprintf("%s@%v#rep%d", spec.Name, m, rep)
-
-	sched, err := loadgen.Poisson(opts.Rate, opts.Duration, root.Derive("sched/"+expName))
-	if err != nil {
-		return monitoring.Summary{}, lambda.Result{}, err
-	}
 	acc := monitoring.NewAccumulator()
-	dep, err := lambda.NewDeployment(opts.Env, spec, m, acc, root.Derive("dep/"+expName))
-	if err != nil {
-		return monitoring.Summary{}, lambda.Result{}, err
-	}
-	res, err := dep.Run(sched)
+	res, err := replay(opts, spec, m, fmt.Sprintf("%s@%v#rep%d", spec.Name, m, rep), acc)
 	if err != nil {
 		return monitoring.Summary{}, lambda.Result{}, err
 	}
@@ -105,6 +93,24 @@ func measure(opts Options, spec *workload.Spec, m platform.MemorySize, rep int) 
 		return monitoring.Summary{}, lambda.Result{}, err
 	}
 	return sum, res, nil
+}
+
+// replay is the one experiment sequence behind measure and Trace: a
+// Poisson schedule at the campaign's load, replayed through spec deployed
+// at m, every invocation landing in store. The experiment name exp keys the
+// schedule ("sched/"+exp) and deployment ("dep/"+exp) random streams.
+func replay(opts Options, spec *workload.Spec, m platform.MemorySize, exp string, store monitoring.Store) (lambda.Result, error) {
+	opts = opts.withDefaults()
+	root := xrand.New(opts.Seed)
+	sched, err := loadgen.Poisson(opts.Rate, opts.Duration, root.Derive("sched/"+exp))
+	if err != nil {
+		return lambda.Result{}, err
+	}
+	dep, err := lambda.NewDeployment(opts.Env, spec, m, store, root.Derive("dep/"+exp))
+	if err != nil {
+		return lambda.Result{}, err
+	}
+	return dep.Run(sched)
 }
 
 // measureRepeated runs opts.Repetitions independent repetitions of the
@@ -208,20 +214,8 @@ func BuildDataset(ctx context.Context, opts Options, specs []*workload.Spec) (*d
 // metric-stability analysis (paper Fig. 3), which needs raw per-request
 // samples rather than aggregates.
 func Trace(opts Options, spec *workload.Spec, m platform.MemorySize) ([]monitoring.Invocation, error) {
-	opts = opts.withDefaults()
-	root := xrand.New(opts.Seed)
-	expName := fmt.Sprintf("%s@%v#trace", spec.Name, m)
-
-	sched, err := loadgen.Poisson(opts.Rate, opts.Duration, root.Derive("sched/"+expName))
-	if err != nil {
-		return nil, err
-	}
 	store := monitoring.NewMemoryStore()
-	dep, err := lambda.NewDeployment(opts.Env, spec, m, store, root.Derive("dep/"+expName))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := dep.Run(sched); err != nil {
+	if _, err := replay(opts, spec, m, fmt.Sprintf("%s@%v#trace", spec.Name, m), store); err != nil {
 		return nil, err
 	}
 	return store.Invocations(spec.Name), nil

@@ -1,31 +1,30 @@
-// Package lambda simulates the function-instance lifecycle of a FaaS
-// platform: warm pools, cold starts, keep-alive reclamation, and the
-// account concurrency limit. It drives runtime instances over a loadgen
-// schedule and feeds every invocation through the monitoring wrapper —
-// the simulated counterpart of deploying a monitored function and pointing
-// a load driver at it (paper §3.3).
+// Package lambda simulates a function deployed on a FaaS platform: it
+// drives runtime instances over a loadgen schedule, enforces the account
+// concurrency limit, and feeds every invocation through the monitoring
+// wrapper — the simulated counterpart of deploying a monitored function
+// and pointing a load driver at it (paper §3.3). Which instance serves an
+// arrival, and when one starts cold or is reclaimed after the keep-alive,
+// is decided by internal/warmpool, the lifecycle fleetsynth shares.
 package lambda
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sizeless/internal/loadgen"
 	"sizeless/internal/monitoring"
 	"sizeless/internal/platform"
 	"sizeless/internal/runtime"
+	"sizeless/internal/warmpool"
 	"sizeless/internal/workload"
 	"sizeless/internal/xrand"
 )
 
-// instanceState tracks one instance in the warm pool.
-type instanceState struct {
-	inst      *runtime.Instance
-	monitor   *monitoring.Monitor
-	busyUntil time.Duration
-	lastUsed  time.Duration
+// instance is the per-instance state the warm pool carries.
+type instance struct {
+	inst    *runtime.Instance
+	monitor *monitoring.Monitor
 }
 
 // Deployment is one function deployed at one memory size.
@@ -36,7 +35,7 @@ type Deployment struct {
 	store monitoring.Store
 	rng   *xrand.Stream
 
-	pool      []*instanceState
+	pool      *warmpool.Pool[instance]
 	nextID    int
 	wrapperMs float64
 }
@@ -58,15 +57,19 @@ var ErrNoStore = errors.New("lambda: deployment needs a monitoring store")
 
 // NewDeployment deploys spec at memory size mem. Every invocation's metric
 // vector is appended to store. The rng stream must be unique per
-// deployment for deterministic parallel experiments.
+// deployment for deterministic parallel experiments. The keep-alive is
+// read from env once, here; env must not change while the deployment runs.
 func NewDeployment(env *runtime.Env, spec *workload.Spec, mem platform.MemorySize, store monitoring.Store, rng *xrand.Stream) (*Deployment, error) {
 	if store == nil {
 		return nil, ErrNoStore
 	}
+	if env == nil || rng == nil {
+		return nil, errors.New("lambda: deployment needs an environment and a random stream")
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("lambda: %w", err)
 	}
-	if env != nil && !env.Platform.ValidSize(mem) {
+	if !env.Platform.ValidSize(mem) {
 		return nil, fmt.Errorf("lambda: memory size %v not deployable on this platform", mem)
 	}
 	return &Deployment{
@@ -75,6 +78,7 @@ func NewDeployment(env *runtime.Env, spec *workload.Spec, mem platform.MemorySiz
 		mem:   mem,
 		store: store,
 		rng:   rng,
+		pool:  warmpool.New[instance](env.Platform.KeepAlive),
 		// The wrapper-style monitor adds a small overhead to instance busy
 		// time (polling metrics + DynamoDB write). It does NOT affect the
 		// measured inner execution time (paper §3.2).
@@ -85,24 +89,19 @@ func NewDeployment(env *runtime.Env, spec *workload.Spec, mem platform.MemorySiz
 // Run processes the schedule in arrival order and returns aggregate
 // statistics. Per-invocation data lands in the deployment's store.
 func (d *Deployment) Run(schedule loadgen.Schedule) (Result, error) {
-	arrivals := append(loadgen.Schedule(nil), schedule...)
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
-
 	var res Result
-	cfg := d.env.Platform
-	for _, t := range arrivals {
-		d.reap(t, cfg.KeepAlive)
-
-		st := d.findWarm(t)
+	limit := d.env.Platform.ConcurrencyLimit
+	for _, t := range schedule.Sorted() {
+		in := d.pool.Warm(t)
 		cold := false
 		start := t
-		if st == nil {
-			if cfg.ConcurrencyLimit > 0 && len(d.pool) >= cfg.ConcurrencyLimit {
+		if in == nil {
+			if limit > 0 && d.pool.Len() >= limit {
 				res.Throttled++
 				continue
 			}
 			var err error
-			st, err = d.spawn()
+			in, err = d.spawn()
 			if err != nil {
 				return res, err
 			}
@@ -110,77 +109,39 @@ func (d *Deployment) Run(schedule loadgen.Schedule) (Result, error) {
 			// Cold start delays the handler start; init CPU lands outside
 			// the monitor's diff window because RunInit advances counters
 			// before Record snapshots them.
-			start = t + st.inst.RunInit()
+			start = t + in.Value.inst.RunInit()
 		}
 
-		inv, err := st.monitor.Record(start, cold, func() (time.Duration, monitoring.LagSample, error) {
-			return st.inst.Invoke()
-		})
+		inv, err := in.Value.monitor.Record(start, cold, in.Value.inst.Invoke)
 		if err != nil {
 			return res, fmt.Errorf("lambda: invocation at %v: %w", t, err)
 		}
-		st.busyUntil = start + inv.Duration + time.Duration(d.wrapperMs*float64(time.Millisecond))
-		st.lastUsed = st.busyUntil
+		in.Serve(start + inv.Duration + time.Duration(d.wrapperMs*float64(time.Millisecond)))
 		res.Invocations++
 		if cold {
 			res.ColdStarts++
 		}
-		if len(d.pool) > res.MaxConcurrency {
-			res.MaxConcurrency = len(d.pool)
-		}
+		res.MaxConcurrency = max(res.MaxConcurrency, d.pool.Len())
 	}
 	return res, nil
 }
 
-// findWarm returns an idle warm instance at time t, preferring the most
-// recently used one (Lambda routes to warm sandboxes LIFO, which lets idle
-// instances age out).
-func (d *Deployment) findWarm(t time.Duration) *instanceState {
-	var best *instanceState
-	for _, st := range d.pool {
-		if st.busyUntil > t {
-			continue
-		}
-		if best == nil || st.lastUsed > best.lastUsed {
-			best = st
-		}
-	}
-	return best
-}
-
-// reap removes instances idle beyond the keep-alive window.
-func (d *Deployment) reap(t time.Duration, keepAlive time.Duration) {
-	if keepAlive <= 0 {
-		return
-	}
-	kept := d.pool[:0]
-	for _, st := range d.pool {
-		if st.busyUntil <= t && t-st.lastUsed > keepAlive {
-			continue
-		}
-		kept = append(kept, st)
-	}
-	d.pool = kept
-}
-
-// spawn creates a fresh (cold) instance.
-func (d *Deployment) spawn() (*instanceState, error) {
+// spawn starts a fresh (cold) instance in the pool.
+func (d *Deployment) spawn() (*warmpool.Instance[instance], error) {
 	inst, err := runtime.NewInstance(d.env, d.spec, d.mem, d.rng.DeriveIndexed("instance", d.nextID))
 	if err != nil {
 		return nil, err
 	}
 	d.nextID++
-	st := &instanceState{
+	return d.pool.Start(instance{
 		inst: inst,
 		monitor: &monitoring.Monitor{
 			FunctionID: d.spec.Name,
 			Probe:      inst,
 			Store:      d.store,
 		},
-	}
-	d.pool = append(d.pool, st)
-	return st, nil
+	}), nil
 }
 
 // PoolSize returns the current number of live instances.
-func (d *Deployment) PoolSize() int { return len(d.pool) }
+func (d *Deployment) PoolSize() int { return d.pool.Len() }

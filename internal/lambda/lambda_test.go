@@ -197,6 +197,12 @@ func TestNewDeploymentErrors(t *testing.T) {
 	if _, err := NewDeployment(env, fastSpec(), platform.MemorySize(100), monitoring.NewMemoryStore(), xrand.New(1)); err == nil {
 		t.Error("invalid memory should error")
 	}
+	if _, err := NewDeployment(nil, fastSpec(), platform.Mem1024, monitoring.NewMemoryStore(), xrand.New(1)); err == nil {
+		t.Error("nil env should error")
+	}
+	if _, err := NewDeployment(env, fastSpec(), platform.Mem1024, monitoring.NewMemoryStore(), nil); err == nil {
+		t.Error("nil rng should error")
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

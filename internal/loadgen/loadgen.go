@@ -14,6 +14,7 @@ package loadgen
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"sizeless/internal/xrand"
@@ -97,4 +98,12 @@ func (s Schedule) RateOver(d time.Duration) float64 {
 		return 0
 	}
 	return float64(len(s)) / d.Seconds()
+}
+
+// Sorted returns a time-ordered copy of the schedule, leaving s as it is —
+// the one arrival order every replay through a warm pool walks.
+func (s Schedule) Sorted() Schedule {
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return out
 }
