@@ -10,8 +10,9 @@
 // stream shard poll), payload-transfer latency proportional to the event
 // size, and cold-start exposure — the downstream function's probability of
 // landing on a cold instance, estimated by replaying a constant-rate
-// arrival schedule through the fleetsynth warm-pool model (keep-alive
-// reaping, LIFO warm routing, cold starts on concurrency growth).
+// arrival schedule through fleetsynth.ColdFraction, which runs the
+// internal/warmpool lifecycle (keep-alive reaping, LIFO warm routing, cold
+// starts on concurrency growth) shared with the harness deployments.
 //
 // End-to-end latency is the critical path through the DAG (longest path
 // over node service times, cold-start exposure, and edge overhead);

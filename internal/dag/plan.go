@@ -42,9 +42,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds the fusion-plan fan-out (default GOMAXPROCS).
 	Workers int
-	// Triggers overrides per-trigger latency/cost profiles; nil means
-	// DefaultTriggerProfiles.
-	Triggers map[Trigger]TriggerProfile
 	// MaxExhaustive caps the size-combination count a fusion plan may
 	// search exhaustively; larger plans fall back to deterministic
 	// coordinate descent. Zero means 1<<22.
@@ -199,15 +196,6 @@ type planner struct {
 	shapes []*shape // all fusion plans; index 0 is the all-singleton plan
 	cmin   float64
 	lmin   float64
-}
-
-func (p *planner) profile(t Trigger) TriggerProfile {
-	if p.cfg.Triggers != nil {
-		if tp, ok := p.cfg.Triggers[t]; ok {
-			return tp
-		}
-	}
-	return p.defs[t]
 }
 
 func newPlanner(g *Graph, cfg Config) (*planner, error) {
@@ -475,7 +463,7 @@ func (p *planner) addShape(chains [][]int, masks []int, inChain []bool) error {
 		if gu == gv {
 			continue
 		}
-		tp := p.profile(e.Trigger)
+		tp := p.defs[e.Trigger]
 		lat := tp.LatencyMs + e.PayloadKB*payloadTransferMsPerKB
 		sh.edgeCost += p.rates[u] * e.Calls * tp.CostPerInvoke
 		sh.preds[gv] = append(sh.preds[gv], shapePred{src: gu, latMs: lat})

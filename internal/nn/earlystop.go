@@ -9,15 +9,11 @@ type Validation struct {
 	// X, Y are the held-out validation samples. Empty X disables the hook
 	// entirely (TrainWithValidation then degrades to TrainWith).
 	X, Y [][]float64
-	// Patience stops training after this many consecutive epochs without a
-	// validation improvement of more than MinDelta. Zero (or negative)
+	// Patience stops training after this many consecutive epochs without
+	// a strict improvement of the best validation loss. Zero (or negative)
 	// never stops early: the full epoch budget runs, but the returned
 	// network is still the best-validation snapshot.
 	Patience int
-	// MinDelta is the improvement the patience counter requires to reset
-	// (default 0: any strict improvement counts). It does not affect
-	// best-weights tracking, which always follows the strict minimum.
-	MinDelta float64
 	// Observer, when non-nil, receives every epoch's (1-based) index,
 	// training loss, and validation loss — the per-epoch hook behind
 	// search instrumentation. It must not retain the slices it closes

@@ -11,10 +11,10 @@ import (
 // behind Train, TrainWith and TrainWithValidation, advanced in slices of
 // epochs. It carries what must survive between slices: the epochs left in
 // the budget, the TrainStats so far and, with a validation split, the best
-// and patience-reference losses, the stagnant-epoch count and the
-// best-weight snapshot. The batch buffers stay in the TrainScratch each
-// slice is handed, so a scheduler running many sessions needs one scratch
-// per worker, not one per session.
+// validation loss, the stagnant-epoch count and the best-weight snapshot.
+// The batch buffers stay in the TrainScratch each slice is handed, so a
+// scheduler running many sessions needs one scratch per worker, not one
+// per session.
 //
 // The optimizer moments and the shuffle stream live in the network, so a
 // budget run in any number of slices trains exactly the epochs of one
@@ -30,11 +30,10 @@ type Session struct {
 	done bool
 
 	// Validation state, used only when v carries a split.
-	bestVal     float64
-	patienceRef float64
-	stagnant    int
-	bestW       [][]float64 // best-validation weights of the trainable layers
-	bestB       [][]float64
+	bestVal  float64
+	stagnant int
+	bestW    [][]float64 // best-validation weights of the trainable layers
+	bestB    [][]float64
 }
 
 // NewSession checks the training data (and v's validation split) against
@@ -78,8 +77,7 @@ func (s *Session) init(n *Network, x, y [][]float64, epochs int, v Validation) e
 	}
 	*s = Session{
 		n: n, x: x, y: y, v: v, left: epochs,
-		bestVal: math.Inf(1), patienceRef: math.Inf(1),
-		bestW: bestW, bestB: bestB,
+		bestVal: math.Inf(1), bestW: bestW, bestB: bestB,
 	}
 	return nil
 }
@@ -156,22 +154,19 @@ func (s *Session) validate(ts *TrainScratch) (stop bool) {
 	v, epoch := s.v, s.st.EpochsRun
 	valLoss := s.n.evalWith(v.X, v.Y, ts)
 	if valLoss < s.bestVal {
-		// Strict-minimum tracking, independent of MinDelta: the returned
-		// network's validation loss is exactly the minimum observed
-		// across all epochs.
+		// Strict-minimum tracking: the returned network's validation loss
+		// is exactly the minimum observed across all epochs, and only a
+		// new minimum resets the patience count.
 		s.bestVal = valLoss
 		s.st.BestEpoch = epoch
 		s.snapshotBest()
+		s.stagnant = 0
+	} else {
+		s.stagnant++
 	}
 	if v.Observer != nil {
 		v.Observer(epoch, s.st.TrainLoss, valLoss)
 	}
-	if valLoss < s.patienceRef-v.MinDelta {
-		s.patienceRef = valLoss
-		s.stagnant = 0
-		return false
-	}
-	s.stagnant++
 	return v.Patience > 0 && s.stagnant >= v.Patience
 }
 
