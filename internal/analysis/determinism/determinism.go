@@ -52,9 +52,16 @@ var seedSinks = map[string]bool{
 // scenario lab's byte-for-byte reproducibility rests on it. internal/dag
 // is in scope because the application planner promises identical plans per
 // seed at any worker count: a latency or cost sum assembled in map order
-// would silently break plan reproducibility.
+// would silently break plan reproducibility. The simulators are in scope
+// because the golden tests pin their float outputs: the warm-pool
+// lifecycle (internal/warmpool), the instance model (internal/runtime),
+// the deployments and campaigns over them (internal/lambda,
+// internal/harness) and the synthetic streams (internal/fleetsynth).
 func numericScoped(path string) bool {
-	for _, seg := range []string{"internal/nn", "internal/core", "internal/stats", "internal/xrand", "internal/loadgen", "internal/dag"} {
+	for _, seg := range []string{
+		"internal/nn", "internal/core", "internal/stats", "internal/xrand", "internal/loadgen", "internal/dag",
+		"internal/warmpool", "internal/runtime", "internal/lambda", "internal/harness", "internal/fleetsynth",
+	} {
 		if analysis.PathHasSegment(path, seg) {
 			return true
 		}

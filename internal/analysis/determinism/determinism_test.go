@@ -16,7 +16,9 @@ func TestAnalyzer(t *testing.T) {
 	// map-order schedule assembly flagged.
 	// c/internal/dag: the application planner's scope — per-seed plan
 	// reproducibility forbids seedless jitter and map-order cost assembly.
+	// c/internal/warmpool: the simulators' scope — map-order idle sums and
+	// instance orderings flagged, the start-order slice scan silent.
 	analysistest.Run(t, analysistest.TestData(t), determinism.Analyzer,
 		"c/internal/nn", "c/internal/nn/fastpath", "c/internal/util", "c/internal/loadgen",
-		"c/internal/dag")
+		"c/internal/dag", "c/internal/warmpool")
 }
