@@ -19,15 +19,18 @@
 //
 // "scenario-matrix" runs the non-stationary scenario lab: stationary,
 // diurnal, spiky, spiky-with-injected-shift, sparse, and trace-replay
-// traffic sampled as non-homogeneous Poisson processes, streamed through a
-// keep-alive warm-pool cold-start model, and scored on drift-detector
+// traffic sampled as non-homogeneous Poisson processes, streamed through
+// the internal/warmpool keep-alive lifecycle (the one the harness
+// deployments use) for cold starts, and scored on drift-detector
 // false positives and latency, recomputation-policy cost regret, and
 // per-provider cold-start billing overhead (the trajectory behind
 // BENCH_scenario.json).
 //
 // "app-matrix" goes beyond the paper's per-function scope: it measures the
-// four case-study applications on each built-in provider and plans every
-// app three ways — per-function-optimal sizes (the paper's optimizer),
+// four case-study applications on each built-in provider (the same
+// internal/warmpool lifecycle decides their cold starts and the planner's
+// cold-start exposure) and plans every app three ways —
+// per-function-optimal sizes (the paper's optimizer),
 // application-optimal sizes under the end-to-end DAG latency/cost model,
 // and application-optimal sizes plus function fusion — reporting the cost
 // and critical-path latency deltas of application-aware planning.
