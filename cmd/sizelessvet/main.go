@@ -2,7 +2,7 @@
 // suite (internal/analysis): poolescape, boundedgo, determinism, ctxflow,
 // and shardlock.
 //
-// Standalone (the CI entry point — identical locally and in CI):
+// Usage (the CI entry point — identical locally and in CI):
 //
 //	go run ./cmd/sizelessvet ./...
 //	go run ./cmd/sizelessvet -only boundedgo,ctxflow ./internal/recommender
@@ -11,19 +11,11 @@
 // It exits 0 when the tree is clean, 1 when findings are reported, and 2
 // on driver errors. Findings print as file:line:col: analyzer: message.
 //
-// As a go vet tool (unitchecker protocol: -V=full for the version
-// fingerprint, -flags for flag discovery, and a *.cfg argument per
-// package):
-//
-//	go build -o /tmp/sizelessvet ./cmd/sizelessvet
-//	go vet -vettool=/tmp/sizelessvet ./...
-//
 // Deliberate exceptions are suppressed in source with
 // "//lint:ignore <analyzer> <reason>"; see internal/analysis.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,12 +31,6 @@ import (
 	"sizeless/internal/analysis/shardlock"
 )
 
-// version is a human-readable marker in the -V=full fingerprint; the
-// content hash of the binary is what actually drives go vet's
-// content-addressed caching, so behaviour changes invalidate cached
-// results automatically.
-const version = "sizelessvet-v6"
-
 // suite is the full analyzer set, in report order.
 var suite = []*analysis.Analyzer{
 	boundedgo.Analyzer,
@@ -59,18 +45,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet probes the tool before use: -V=full must print a stable
-	// version fingerprint, -flags the supported flags as JSON.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			return printVersion()
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("sizelessvet", flag.ExitOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run (default: all)")
@@ -94,12 +68,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-
-	// Unitchecker mode: go vet invokes the tool with a single *.cfg
-	// argument describing one package.
-	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
-		return unitcheck(fs.Arg(0), analyzers)
 	}
 
 	patterns := fs.Args()
@@ -140,24 +108,6 @@ func run(args []string) int {
 	return 0
 }
 
-// printVersion answers go vet's -V=full probe in the exact shape cmd/go
-// parses ("name version devel ... buildID=<hash>"): the hash of the tool
-// binary itself, so the vet cache keys on the tool's content.
-func printVersion() int {
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	sum := sha256.Sum256(data)
-	fmt.Printf("%s version devel %s buildID=%02x\n", filepath.Base(exe), version, string(sum[:]))
-	return 0
-}
-
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	if only == "" {
 		return suite, nil
@@ -194,90 +144,4 @@ func moduleDir() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// vetConfig is the package description go vet writes for unitchecker-style
-// tools (the fields this driver needs).
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// unitcheck analyzes one package as directed by a go vet cfg file.
-// Diagnostics go to stderr in the file:line:col form the go command
-// relays; exit status 2 signals findings (matching the upstream
-// unitchecker convention).
-func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "sizelessvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// This suite computes no cross-package facts, but go vet requires the
-	// facts file to exist for dependent packages' runs.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Tests are exempt throughout the suite (the standalone loader analyzes
-	// only non-test files), but go vet folds _test.go files into each
-	// package's compilation unit. Filter them out so both drivers enforce
-	// the same scope; a pure external test package (p_test) empties out and
-	// is skipped entirely.
-	files := make([]string, 0, len(cfg.GoFiles))
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	// Resolve the import map through to export-data files: ImportMap maps
-	// source-level paths to canonical package paths, PackageFile maps
-	// canonical paths to export data.
-	exports := make(map[string]string, len(cfg.ImportMap))
-	for src, canonical := range cfg.ImportMap {
-		if f, ok := cfg.PackageFile[canonical]; ok {
-			exports[src] = f
-		}
-	}
-	for p, f := range cfg.PackageFile {
-		if _, ok := exports[p]; !ok {
-			exports[p] = f
-		}
-	}
-	pkg, err := analysis.LoadFiles(cfg.ImportPath, files, exports)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	findings, err := analysis.Run([]*analysis.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s\n", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
 }

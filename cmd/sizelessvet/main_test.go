@@ -2,16 +2,6 @@ package main
 
 import "testing"
 
-// TestProbeProtocol covers the go vet tool-probe handshake: -V=full and
-// -flags must succeed before vet will invoke the tool on packages.
-func TestProbeProtocol(t *testing.T) {
-	for _, arg := range []string{"-V=full", "-flags"} {
-		if got := run([]string{arg}); got != 0 {
-			t.Errorf("run(%q) = %d, want 0", arg, got)
-		}
-	}
-}
-
 func TestList(t *testing.T) {
 	if got := run([]string{"-list"}); got != 0 {
 		t.Errorf("run(-list) = %d, want 0", got)

@@ -163,8 +163,7 @@
 // that never escapes its function, seed-reproducible randomness, context
 // propagation, and the recommender's shard-lock discipline — are
 // machine-enforced by an in-repo analyzer suite (internal/analysis, run
-// by cmd/sizelessvet standalone or as a go vet -vettool). Deliberate
-// exceptions are suppressed in source with
+// by cmd/sizelessvet). Deliberate exceptions are suppressed in source with
 // "//lint:ignore <analyzer> <reason>", so every exception is grepable and
 // carries its justification. CI runs the suite on every push.
 //

@@ -44,8 +44,7 @@ func newInfo() *types.Info {
 // exportSet resolves import paths to compiled export-data files and wraps
 // the standard gc importer over them. go/importer's gc mode with a lookup
 // function never touches GOPATH, so dependencies resolve identically in
-// the standalone driver, the unitchecker (where go vet supplies the file
-// map), and the analysistest harness.
+// the driver and the analysistest harness.
 type exportSet struct {
 	files map[string]string // import path -> export data file
 	imp   types.ImporterFrom
@@ -145,15 +144,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// LoadFiles parses and type-checks one package from an explicit file list
-// with an explicit import-path→export-file map — the unitchecker entry
-// point, where go vet hands both over in the .cfg file.
-func LoadFiles(importPath string, files []string, exportFiles map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	es := newExportSet(fset, exportFiles)
-	return typecheck(fset, importPath, files, es.imp)
 }
 
 func typecheck(fset *token.FileSet, importPath string, filenames []string, imp types.ImporterFrom) (*Package, error) {

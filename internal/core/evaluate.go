@@ -203,16 +203,14 @@ func fitAndTrain(ctx context.Context, trX, trY [][]float64, cfg ModelConfig, see
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	net, err := nn.New(nn.Config{
-		Inputs:       len(trX[0]),
-		Outputs:      len(trY[0]),
-		Hidden:       cfg.Hidden,
-		Optimizer:    cfg.Optimizer,
-		Loss:         cfg.Loss,
-		L2:           cfg.L2,
-		Epochs:       cfg.Epochs,
-		LearningRate: cfg.LearningRate,
-		BatchSize:    cfg.BatchSize,
-		Seed:         cfg.Seed + seedOffset,
+		Inputs:    len(trX[0]),
+		Outputs:   len(trY[0]),
+		Hidden:    cfg.Hidden,
+		Optimizer: cfg.Optimizer,
+		Loss:      cfg.Loss,
+		L2:        cfg.L2,
+		Epochs:    cfg.Epochs,
+		Seed:      cfg.Seed + seedOffset,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)

@@ -178,16 +178,14 @@ func GridSearchHalving(ctx context.Context, ds *dataset.Dataset, base ModelConfi
 		nets := make([]*nn.Network, cfg.EnsembleSize)
 		for e := range nets {
 			nets[e], err = nn.New(nn.Config{
-				Inputs:       len(cfg.Features),
-				Outputs:      len(targets),
-				Hidden:       cfg.Hidden,
-				Optimizer:    cfg.Optimizer,
-				Loss:         cfg.Loss,
-				L2:           cfg.L2,
-				Epochs:       cfg.Epochs,
-				LearningRate: cfg.LearningRate,
-				BatchSize:    cfg.BatchSize,
-				Seed:         cfg.Seed + int64(e)*9973,
+				Inputs:    len(cfg.Features),
+				Outputs:   len(targets),
+				Hidden:    cfg.Hidden,
+				Optimizer: cfg.Optimizer,
+				Loss:      cfg.Loss,
+				L2:        cfg.L2,
+				Epochs:    cfg.Epochs,
+				Seed:      cfg.Seed + int64(e)*9973,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: halving: %w", err)

@@ -30,14 +30,12 @@ type ModelConfig struct {
 	Features []features.Feature
 	// Network hyperparameters (paper final: 4×256, Adam, MAPE, 200
 	// epochs, L2 = 0.01).
-	Hidden       []int
-	Optimizer    nn.Optimizer
-	Loss         nn.Loss
-	Epochs       int
-	L2           float64
-	LearningRate float64
-	BatchSize    int
-	Seed         int64
+	Hidden    []int
+	Optimizer nn.Optimizer
+	Loss      nn.Loss
+	Epochs    int
+	L2        float64
+	Seed      int64
 	// EnsembleSize trains this many networks from different seeds and
 	// averages their predictions. The paper trains a single network on
 	// 2000 functions; at smaller dataset sizes a small ensemble removes
@@ -306,16 +304,14 @@ func Train(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig) (*Model, e
 	err = pool.RunSlices(ctx, cfg.EnsembleSize, cfg.Workers, cfg.Epochs, func(e, epochs int) (bool, error) {
 		if runs[e] == nil {
 			net, err := nn.New(nn.Config{
-				Inputs:       len(cfg.Features),
-				Outputs:      len(targets),
-				Hidden:       cfg.Hidden,
-				Optimizer:    cfg.Optimizer,
-				Loss:         cfg.Loss,
-				L2:           cfg.L2,
-				Epochs:       cfg.Epochs,
-				LearningRate: cfg.LearningRate,
-				BatchSize:    cfg.BatchSize,
-				Seed:         cfg.Seed + int64(e)*9973,
+				Inputs:    len(cfg.Features),
+				Outputs:   len(targets),
+				Hidden:    cfg.Hidden,
+				Optimizer: cfg.Optimizer,
+				Loss:      cfg.Loss,
+				L2:        cfg.L2,
+				Epochs:    cfg.Epochs,
+				Seed:      cfg.Seed + int64(e)*9973,
 			})
 			if err != nil {
 				return false, err

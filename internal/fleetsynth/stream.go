@@ -30,12 +30,9 @@ type StreamConfig struct {
 	// pool. Only a serial schedule (no overlapping invocations) reduces to
 	// "only the first arrival is cold".
 	KeepAlive time.Duration
-	// Scale multiplies the synthetic metric magnitudes (see Window); values
-	// <= 0 default to 1.
-	Scale float64
-	// ScaleAt optionally overrides the metric scale per window index,
-	// multiplying Scale — the hook scenario labs use to inject a
-	// distribution shift mid-run. Nil means no override.
+	// ScaleAt optionally multiplies the synthetic metric magnitudes (see
+	// Window) per window index — the hook scenario labs use to inject a
+	// distribution shift mid-run. Nil, or a non-positive factor, means 1.
 	ScaleAt func(window int) float64
 }
 
@@ -60,10 +57,6 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 	if cfg.Horizon <= 0 || cfg.Window <= 0 {
 		return nil, fmt.Errorf("fleetsynth: horizon %v and window %v must be positive", cfg.Horizon, cfg.Window)
 	}
-	scale := cfg.Scale
-	if scale <= 0 {
-		scale = 1
-	}
 	nWindows := int((cfg.Horizon + cfg.Window - 1) / cfg.Window)
 	out := make([][]monitoring.Invocation, nWindows)
 
@@ -73,10 +66,10 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 			continue
 		}
 		w := int(t / cfg.Window)
-		ws := scale
+		ws := 1.0
 		if cfg.ScaleAt != nil {
 			if f := cfg.ScaleAt(w); f > 0 {
-				ws *= f
+				ws = f
 			}
 		}
 		inv := monitoring.Invocation{Start: t}

@@ -53,8 +53,6 @@ type Config struct {
 	// monitoring.MinDriftSamples: a first recommendation from a smaller
 	// window leaves a baseline the drift detector always rejects.
 	MinWindow int
-	// Drift configures the §5 workload-shift detector.
-	Drift monitoring.DriftDetectorConfig
 	// Pricing is the billing model used for cost scoring (default: the
 	// AWS-Lambda-like platform.DefaultPricing).
 	Pricing platform.Pricer
@@ -373,9 +371,9 @@ func (s *Service) advanceLocked(ctx context.Context, st *functionState) error {
 		return s.recomputeLocked(ctx, st, nil)
 	}
 	if st.baselinePrep == nil {
-		st.baselinePrep = monitoring.PrepareBaseline(st.baseline, s.cfg.Drift)
+		st.baselinePrep = monitoring.PrepareBaseline(st.baseline, monitoring.DriftDetectorConfig{})
 	}
-	report, err := monitoring.DetectDriftAgainst(st.baselinePrep, st.pending, s.cfg.Drift)
+	report, err := monitoring.DetectDriftAgainst(st.baselinePrep, st.pending, monitoring.DriftDetectorConfig{})
 	if err != nil {
 		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
 	}
@@ -560,9 +558,8 @@ func (s *Service) IngestBatch(ctx context.Context, batch map[string][]monitoring
 func (s *Service) RecommendBatch(ctx context.Context, summaries []monitoring.Summary) ([]optimizer.Recommendation, error) {
 	workers := s.cfg.Workers
 	if workers > len(summaries) {
-		// Single-function recomputes reach here through the drain path; a
-		// configured fleet-sized worker count must not spawn idle
-		// goroutines for them.
+		// A small request must not spawn idle goroutines for a
+		// fleet-sized worker count.
 		workers = len(summaries)
 	}
 	times, err := s.model.Load().PredictBatch(ctx, summaries, workers)

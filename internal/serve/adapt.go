@@ -23,21 +23,19 @@ type AdaptConfig struct {
 	// Quorum is the fraction of recommendation-bearing functions that
 	// must recompute within one interval to fire (default 0.25).
 	Quorum float64
-	// MinFunctions is the absolute floor of drifted functions — a quorum
-	// of a three-function fleet is noise, not a platform shift (default 4).
-	MinFunctions int
 	// Patience is the early-stopping budget passed to Adapt as
 	// WithEarlyStopping: adaptation datasets are small, so a fixed epoch
 	// budget routinely overfits (default 10).
 	Patience int
-	// Cooldown suppresses re-adaptation after a successful swap while the
-	// fleet's recomputations converge on the new model (default
-	// 4×Interval).
-	Cooldown time.Duration
 	// Options are appended to the Adapt call (freeze depth, epoch budget,
 	// target provider, seed).
 	Options []sizeless.Option
 }
+
+// adaptMinFunctions is the absolute floor of drifted functions for the
+// quorum to fire: a quorum of a three-function fleet is noise, not a
+// platform shift.
+const adaptMinFunctions = 4
 
 func (c AdaptConfig) enabled() bool { return c.Source != nil }
 
@@ -48,14 +46,8 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 	if c.Quorum <= 0 {
 		c.Quorum = 0.25
 	}
-	if c.MinFunctions <= 0 {
-		c.MinFunctions = 4
-	}
 	if c.Patience <= 0 {
 		c.Patience = 10
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 4 * c.Interval
 	}
 	return c
 }
@@ -98,11 +90,13 @@ func (s *Server) adaptLoop(ctx context.Context) {
 			}
 			seen[st.FunctionID] = st.Recomputations
 		}
-		if recommended == 0 || drifted < cfg.MinFunctions ||
+		if recommended == 0 || drifted < adaptMinFunctions ||
 			float64(drifted) < cfg.Quorum*float64(recommended) {
 			continue
 		}
-		if !lastSwap.IsZero() && time.Since(lastSwap) < cfg.Cooldown {
+		// After a swap, four intervals let the fleet's recomputations
+		// converge on the new model before the quorum may fire again.
+		if !lastSwap.IsZero() && time.Since(lastSwap) < 4*cfg.Interval {
 			s.cfg.Logf("serve: adapt: quorum fired (%d/%d drifted) but cooling down", drifted, recommended)
 			continue
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,12 +18,10 @@ func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 	srv, base := startServer(t, Config{
 		ServiceOptions: []sizeless.Option{sizeless.WithMinWindow(50)},
 		Adapt: AdaptConfig{
-			Source:       func(context.Context) (*sizeless.Dataset, error) { return testDS, nil },
-			Interval:     50 * time.Millisecond,
-			Quorum:       0.25,
-			MinFunctions: 2,
-			Patience:     3,
-			Cooldown:     time.Hour, // one adaptation per test
+			Source:   func(context.Context) (*sizeless.Dataset, error) { return testDS, nil },
+			Interval: 50 * time.Millisecond,
+			Quorum:   0.25,
+			Patience: 3,
 			Options: []sizeless.Option{
 				sizeless.WithFineTuneEpochs(12),
 				sizeless.WithSeed(5),
@@ -105,7 +104,8 @@ func TestAdaptConfigValidation(t *testing.T) {
 }
 
 // TestAdaptFailureKeepsServing: a failing adaptation source must not kill
-// the daemon or the serving model — the loop degrades to "keep serving".
+// the daemon or the serving model — the loop degrades to "keep serving",
+// and the failure is recorded for /v1/healthz.
 func TestAdaptFailureKeepsServing(t *testing.T) {
 	srv, base := startServer(t, Config{
 		ServiceOptions: []sizeless.Option{sizeless.WithMinWindow(50)},
@@ -113,9 +113,8 @@ func TestAdaptFailureKeepsServing(t *testing.T) {
 			Source: func(context.Context) (*sizeless.Dataset, error) {
 				return nil, context.DeadlineExceeded
 			},
-			Interval:     30 * time.Millisecond,
-			MinFunctions: 1,
-			Quorum:       0.1,
+			Interval: 30 * time.Millisecond,
+			Quorum:   0.1,
 		},
 	})
 	ctx := context.Background()
@@ -125,24 +124,24 @@ func TestAdaptFailureKeepsServing(t *testing.T) {
 	if _, err := srv.Service().IngestBatch(ctx, fleetsynth.Batch(4, 120, 42, 4)); err != nil {
 		t.Fatal(err)
 	}
+	var health Health
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		srv.errMu.Lock()
-		n := len(srv.lastErrors)
-		srv.errMu.Unlock()
-		if n > 0 {
+	for {
+		if code := getJSON(t, base+"/v1/healthz", &health); code != 200 {
+			t.Fatalf("healthz after adapt failure = %d", code)
+		}
+		if len(health.LastErrors) > 0 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if len(health.LastErrors) == 0 || !strings.Contains(health.LastErrors[0], "adaptation dataset") {
+		t.Fatalf("recorded errors %q, want the failed adaptation source", health.LastErrors)
 	}
 	if srv.adaptations.Load() != 0 {
 		t.Error("failed source still counted an adaptation")
 	}
 	// The daemon keeps answering.
-	var health Health
-	if code := getJSON(t, base+"/v1/healthz", &health); code != 200 {
-		t.Fatalf("healthz after adapt failure = %d", code)
-	}
 	if health.Status != "ok" {
 		t.Errorf("health status = %q", health.Status)
 	}

@@ -31,7 +31,12 @@ type IngestResponse struct {
 
 // RecommendRequest is the POST /v1/recommend body: the stateless scoring
 // path. Tradeoff overrides the service's configured t parameter for this
-// request only; omitted means the service default.
+// request only; omitted means the service default. Either way, costs use
+// the predictor's provider pricing.
+//
+// The body is decoded as encoding/json decodes this type with unknown
+// fields disallowed, up to Config.MaxBodyBytes (413 past it). Anything but
+// whitespace after the object is refused with 400.
 type RecommendRequest struct {
 	Summaries []monitoring.Summary `json:"summaries"`
 	Tradeoff  *float64             `json:"tradeoff,omitempty"`

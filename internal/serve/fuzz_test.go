@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -90,7 +91,8 @@ func FuzzReadSnapshot(f *testing.F) {
 
 // FuzzRecommendRequest drives POST /v1/recommend's handler with arbitrary
 // bodies: it must never panic, a 200 must carry one recommendation per
-// request summary, and anything else must be a 400, 413 or 422 with an
+// request summary and answer a body with nothing but whitespace after its
+// object, and anything else must be a 400, 413 or 422 with an
 // ErrorResponse body.
 func FuzzRecommendRequest(f *testing.F) {
 	pred := testPredictor(f)
@@ -111,6 +113,7 @@ func FuzzRecommendRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(body)
+		f.Add(append(body, " x"...))
 	}
 	for _, s := range []string{
 		``, `null`, `{}`, `{"summaries":[]}`, `{"summaries":null}`, `{"summaries":[{}]} x`,
@@ -132,6 +135,9 @@ func FuzzRecommendRequest(f *testing.F) {
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&req); err != nil {
 				t.Fatalf("200 for a body the handler cannot decode: %v", err)
+			}
+			if _, err := dec.Token(); err != io.EOF {
+				t.Fatalf("200 for a body with data after the object (%v)", err)
 			}
 			var resp RecommendResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {

@@ -119,16 +119,12 @@ const (
 // time for the shard's current backlog to drain at the observed per-job
 // rate, clamped to [minRetryAfter, maxRetryAfter]. As the drainers work
 // the queue down, pending shrinks and so does the advertised delay.
-// Returns 0 when the shard has no drain history yet; the caller falls
-// back to the configured fixed hint.
+// A shard with no drain history yet gets minRetryAfter.
 func (q *shardQueue) retryAfter() time.Duration {
 	q.mu.Lock()
 	per := q.drainPerJob
 	pending := q.pending
 	q.mu.Unlock()
-	if per <= 0 {
-		return 0
-	}
 	d := time.Duration(pending) * per
 	if d < minRetryAfter {
 		d = minRetryAfter

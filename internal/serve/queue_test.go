@@ -130,15 +130,14 @@ func TestEnqueueBatchAllOrNothing(t *testing.T) {
 // TestRetryAfterShrinksAsQueueDrains: the 429 Retry-After hint is derived
 // from the rejecting shard's observed drain rate — pending × per-job EWMA,
 // rounded up to whole seconds — so the advertised delay shrinks as the
-// drainers work the backlog down. Before any job has completed, the
-// configured fixed hint applies. The daemon is un-Run (no drainers), so
+// drainers work the backlog down. Before any job has completed, the hint
+// is the 1s floor. The daemon is un-Run (no drainers), so
 // the test plays the drainer by popping jobs and releasing them with a
 // synthetic service time.
 func TestRetryAfterShrinksAsQueueDrains(t *testing.T) {
 	srv := newQueueServer(t, Config{
 		ServiceOptions: []sizeless.Option{sizeless.WithShards(1)},
 		QueueDepth:     4,
-		RetryAfter:     7 * time.Second,
 	})
 	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
@@ -173,8 +172,8 @@ func TestRetryAfterShrinksAsQueueDrains(t *testing.T) {
 		}
 	}
 
-	// Fill the depth-4 queue; with no drain history the rejection falls
-	// back to the configured fixed hint.
+	// Fill the depth-4 queue; with no drain history the rejection gets
+	// the 1s floor.
 	jobs := make([]job, 4)
 	for i := range jobs {
 		jobs[i] = newJob(ids[i], invs)
@@ -182,11 +181,11 @@ func TestRetryAfterShrinksAsQueueDrains(t *testing.T) {
 	if err := srv.enqueueBatch(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if got := reject(ids[4:5]); got != "7" {
-		t.Errorf("Retry-After with no drain history = %q, want configured \"7\"", got)
+	if got := reject(ids[4:5]); got != "1" {
+		t.Errorf("Retry-After with no drain history = %q, want \"1\"", got)
 	}
 
-	// One job drains at 2s: 3 pending × 2s → 6s, below the fallback.
+	// One job drains at 2s: 3 pending × 2s → 6s.
 	drain(1, 2*time.Second)
 	if got := reject(ids[4:6]); got != "6" {
 		t.Errorf("Retry-After at 3 pending × 2s = %q, want \"6\"", got)
@@ -201,11 +200,11 @@ func TestRetryAfterShrinksAsQueueDrains(t *testing.T) {
 
 // TestRetryAfterClamps: the adaptive hint never drops below the header's
 // 1s resolution and never parks a client longer than a minute; a shard
-// with no history reports zero so the caller can fall back.
+// with no history reports the 1s floor.
 func TestRetryAfterClamps(t *testing.T) {
 	q := newShardQueue(8, 1<<20)
-	if got := q.retryAfter(); got != 0 {
-		t.Errorf("retryAfter with no history = %v, want 0", got)
+	if got := q.retryAfter(); got != time.Second {
+		t.Errorf("retryAfter with no history = %v, want 1s", got)
 	}
 	q.pending = 2
 	q.observeDrainLocked(50 * time.Millisecond)

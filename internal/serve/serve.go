@@ -53,7 +53,7 @@ type Config struct {
 	// entry point. Required.
 	Predictor *sizeless.Predictor
 	// ServiceOptions configure the underlying recommender service
-	// (WithTradeoff, WithMinWindow, WithDrift, WithShards, WithWorkers).
+	// (WithTradeoff, WithMinWindow, WithShards, WithWorkers).
 	ServiceOptions []sizeless.Option
 	// Addr is the listen address (default "127.0.0.1:8080"; use ":0" for
 	// an ephemeral port).
@@ -64,13 +64,6 @@ type Config struct {
 	// QueueBytes bounds each shard queue's pending window bytes, queued
 	// plus in flight (default 4 MiB).
 	QueueBytes int64
-	// RetryAfter is the client back-off hint sent with 429 responses
-	// while the rejecting shard has no drain history (default 1s). Once
-	// the shard's drainer has completed at least one job, the hint is
-	// derived from the observed per-job drain rate and the shard's
-	// current backlog instead, clamped to [1s, 1m], so the advertised
-	// delay shrinks as the queue drains.
-	RetryAfter time.Duration
 	// MaxBodyBytes caps a single request body (default 32 MiB).
 	MaxBodyBytes int64
 	// SnapshotPath enables fleet snapshot/restore: restored on startup if
@@ -80,15 +73,16 @@ type Config struct {
 	// SnapshotInterval is the periodic snapshot cadence (default 1m;
 	// ignored without SnapshotPath).
 	SnapshotInterval time.Duration
-	// ShutdownGrace bounds how long shutdown waits for in-flight requests
-	// and queued windows (default 5s).
-	ShutdownGrace time.Duration
 	// Adapt configures the drift-triggered auto-adaptation loop; the zero
 	// value disables it.
 	Adapt AdaptConfig
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 }
+
+// shutdownGrace bounds how long shutdown waits for in-flight requests and
+// then for queued windows.
+const shutdownGrace = 5 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -100,17 +94,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueBytes <= 0 {
 		c.QueueBytes = 4 << 20
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = time.Minute
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -231,7 +219,7 @@ func (s *Server) Addr() string {
 func (s *Server) Drain() { s.inflight.Wait() }
 
 // Run serves until ctx is cancelled, then shuts down gracefully: the
-// listener stops accepting, in-flight requests get ShutdownGrace to
+// listener stops accepting, in-flight requests get shutdownGrace to
 // finish, queued windows are drained into the service, and — when
 // durability is configured — a final snapshot is written. Run returns nil
 // on a clean ctx-driven shutdown.
@@ -269,7 +257,7 @@ func (s *Server) Run(ctx context.Context) error {
 	shutdownDone := make(chan struct{})
 	stopShutdown := context.AfterFunc(ctx, func() {
 		defer close(shutdownDone)
-		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
+		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			s.cfg.Logf("serve: shutdown: %v", err)
@@ -350,7 +338,7 @@ func (s *Server) drainShard(ctx context.Context, si int) {
 // request that raced shutdown. Runs single-threaded, after all drainers
 // stopped.
 func (s *Server) sweepQueues(ctx context.Context) {
-	gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
+	gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
 	defer cancel()
 	for _, q := range s.queues {
 		for {
@@ -444,9 +432,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &full):
 			delay := s.queues[full.Shard].retryAfter()
-			if delay <= 0 {
-				delay = s.cfg.RetryAfter
-			}
 			w.Header().Set("Retry-After", strconv.Itoa(int((delay+time.Second-1)/time.Second)))
 			writeError(w, http.StatusTooManyRequests, err.Error())
 		case errors.Is(err, ErrBatchTooLarge):
@@ -577,6 +562,13 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		writeBodyError(w, err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
 		writeBodyError(w, err)
 		return false
 	}

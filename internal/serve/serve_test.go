@@ -247,6 +247,66 @@ func TestServeRecommendEndpoint(t *testing.T) {
 	}
 }
 
+// TestServeRecommendRejectsTrailingData: like /v1/ingest, POST
+// /v1/recommend refuses anything but whitespace after the request object.
+func TestServeRecommendRejectsTrailingData(t *testing.T) {
+	_, base := startServer(t, Config{})
+	pred := testPredictor(t)
+	body := string(mustMarshal(t, RecommendRequest{
+		Summaries: []monitoring.Summary{testDataset(t).Rows[0].Summaries[pred.Base()]},
+	}))
+	for _, tc := range []struct {
+		trailing string
+		want     int
+	}{
+		{" x", http.StatusBadRequest},
+		{body, http.StatusBadRequest},
+		{"{}", http.StatusBadRequest},
+		{" \n\t", http.StatusOK},
+	} {
+		resp, err := http.Post(base+"/v1/recommend", "application/json", strings.NewReader(body+tc.trailing))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("body + %.10q = %d (%s), want %d", tc.trailing, resp.StatusCode, out, tc.want)
+		}
+	}
+}
+
+// TestServeRecommendPricingFollowsPredictor: the service prices with the
+// predictor's provider even when its options carry WithProvider, so an
+// explicit "tradeoff" equal to the default (the predictor path) and an
+// omitted one (the service path) return the same bytes.
+func TestServeRecommendPricingFollowsPredictor(t *testing.T) {
+	_, base := startServer(t, Config{
+		ServiceOptions: []sizeless.Option{sizeless.WithProvider(sizeless.AzureFunctions())},
+	})
+	pred := testPredictor(t)
+	ds := testDataset(t)
+	sums := make([]monitoring.Summary, 8)
+	for i := range sums {
+		sums[i] = ds.Rows[i].Summaries[pred.Base()]
+	}
+	code, viaService := postJSON(t, base+"/v1/recommend", RecommendRequest{Summaries: sums})
+	if code != http.StatusOK {
+		t.Fatalf("recommend = %d: %s", code, viaService)
+	}
+	def := 0.75
+	code, viaPredictor := postJSON(t, base+"/v1/recommend", RecommendRequest{Summaries: sums, Tradeoff: &def})
+	if code != http.StatusOK {
+		t.Fatalf("recommend t=0.75 = %d: %s", code, viaPredictor)
+	}
+	if !bytes.Equal(viaService, viaPredictor) {
+		t.Errorf("default tradeoff priced differently from explicit 0.75:\n%s\n%s", viaService, viaPredictor)
+	}
+}
+
 // TestServeBackpressure is the acceptance criterion: a saturated shard
 // queue rejects the whole request with 429 + Retry-After, errors.Is
 // matches ErrQueueFull on the embedded path, and the queue's occupancy
@@ -258,7 +318,6 @@ func TestServeBackpressure(t *testing.T) {
 		// runs, because admission is all-or-nothing under the queue lock.
 		ServiceOptions: []sizeless.Option{sizeless.WithShards(1), sizeless.WithMinWindow(50)},
 		QueueDepth:     2,
-		RetryAfter:     3 * time.Second,
 	})
 
 	batch := fleetsynth.Batch(3, 60, 2, 1)
@@ -272,8 +331,8 @@ func TestServeBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity ingest = %d, want 429: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	if !strings.Contains(string(body), "queue full") {
 		t.Errorf("429 body %q does not explain the saturation", body)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"sizeless/internal/monitoring"
 	"sizeless/internal/platform"
-	"sizeless/internal/runtime"
 )
 
 // Option configures a pipeline entry point (GenerateDataset,
@@ -39,10 +37,7 @@ type config struct {
 	valFrac     float64
 	minWindow   int
 	shards      int
-	drift       monitoring.DriftDetectorConfig
-	hasDrift    bool
 	progress    func(done, total int)
-	env         *runtime.Env
 }
 
 // resolve applies opts over the defaults shared by every entry point.
@@ -57,15 +52,6 @@ func resolve(opts []Option) (config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// newEnv returns the simulation environment: an explicit WithEnv wins,
-// otherwise a fresh environment running the provider's platform.
-func (c config) newEnv() *runtime.Env {
-	if c.env != nil {
-		return c.env
-	}
-	return runtime.NewEnvFor(c.provider.Platform())
 }
 
 // predictionSizes returns the memory grid predictions run over: an
@@ -325,34 +311,12 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithDrift configures the §5 workload-shift detector of the
-// recommendation service.
-func WithDrift(d monitoring.DriftDetectorConfig) Option {
-	return func(c *config) error {
-		c.drift = d
-		c.hasDrift = true
-		return nil
-	}
-}
-
 // WithProgress installs a progress callback for measurement campaigns:
 // after every completed (function × size) experiment it receives the
 // finished and total cell counts. Calls are serialized.
 func WithProgress(fn func(done, total int)) Option {
 	return func(c *config) error {
 		c.progress = fn
-		return nil
-	}
-}
-
-// WithEnv injects a custom simulation environment (custom drift, service
-// latency overrides), overriding the provider-derived default.
-func WithEnv(env *runtime.Env) Option {
-	return func(c *config) error {
-		if env == nil {
-			return fmt.Errorf("WithEnv: nil environment")
-		}
-		c.env = env
 		return nil
 	}
 }

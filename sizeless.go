@@ -69,7 +69,7 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 		return nil, fmt.Errorf("sizeless: %w", err)
 	}
 	ds, err := harness.BuildDataset(ctx, harness.Options{
-		Env:      cfg.newEnv(),
+		Env:      runtime.NewEnvFor(cfg.provider.Platform()),
 		Rate:     cfg.rate,
 		Duration: cfg.duration,
 		Sizes:    cfg.predictionSizes(),
@@ -357,7 +357,7 @@ func MonitorFunction(ctx context.Context, spec *workload.Spec, opts ...Option) (
 		}
 	}
 	ds, err := harness.BuildDataset(ctx, harness.Options{
-		Env:      cfg.newEnv(),
+		Env:      runtime.NewEnvFor(cfg.provider.Platform()),
 		Rate:     cfg.rate,
 		Duration: cfg.duration,
 		Sizes:    []MemorySize{mem},
@@ -369,16 +369,6 @@ func MonitorFunction(ctx context.Context, spec *workload.Spec, opts ...Option) (
 	return ds.Rows[0].Summaries[mem], nil
 }
 
-// NewEnv returns a fresh simulated platform environment for the default
-// (AWS-Lambda-like) provider, exposed for advanced scenarios (custom
-// drift, service latency overrides). NewEnvFor builds one for any
-// provider.
-func NewEnv() *runtime.Env { return runtime.NewEnv() }
-
-// NewEnvFor returns a fresh simulated environment running the given
-// provider's platform. Pass it through WithEnv after customizing.
-func NewEnvFor(p Provider) *runtime.Env { return runtime.NewEnvFor(p.Platform()) }
-
 // Service is a continuously running, drift-aware recommender that tracks a
 // fleet of functions — the provider-side deployment the paper's
 // introduction motivates.
@@ -387,8 +377,9 @@ type Service = recommender.Service
 // NewService wraps the predictor in a continuous recommendation service:
 // ingest monitoring windows per function; recommendations refresh only
 // when the workload's resource profile drifts (paper §5). WithTradeoff,
-// WithMinWindow, WithDrift, WithWorkers, and WithShards tune it; pricing
-// follows the predictor's provider.
+// WithMinWindow, WithWorkers, and WithShards tune it; pricing follows the
+// predictor's provider (WithProvider has no effect here), and the drift
+// detector runs with monitoring.DriftDetectorConfig's defaults.
 //
 // The service is safe for concurrent use at fleet scale: per-function
 // state is partitioned across WithShards independently locked shards
@@ -401,21 +392,13 @@ func (p *Predictor) NewService(opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	pricing := p.pricing()
-	if cfg.hasProvider {
-		pricing = cfg.provider.Platform().Pricing
-	}
-	rc := recommender.Config{
+	svc, err := recommender.New(p.model, recommender.Config{
 		Tradeoff:  cfg.tradeoff,
 		MinWindow: cfg.minWindow,
-		Pricing:   pricing,
+		Pricing:   p.pricing(),
 		Workers:   cfg.workers,
 		Shards:    cfg.shards,
-	}
-	if cfg.hasDrift {
-		rc.Drift = cfg.drift
-	}
-	svc, err := recommender.New(p.model, rc)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sizeless: %w", err)
 	}
