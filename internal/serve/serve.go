@@ -219,7 +219,7 @@ func (s *Server) Addr() string {
 func (s *Server) Drain() { s.inflight.Wait() }
 
 // Run serves until ctx is cancelled, then shuts down gracefully: the
-// listener stops accepting, in-flight requests get shutdownGrace to
+// listener stops accepting, in-flight requests get 5s (shutdownGrace) to
 // finish, queued windows are drained into the service, and — when
 // durability is configured — a final snapshot is written. Run returns nil
 // on a clean ctx-driven shutdown.
