@@ -44,7 +44,7 @@ func newInfo() *types.Info {
 // exportSet resolves import paths to compiled export-data files and wraps
 // the standard gc importer over them. go/importer's gc mode with a lookup
 // function never touches GOPATH, so dependencies resolve identically in
-// the driver and the analysistest harness.
+// cmd/sizelessvet and the analysistest harness.
 type exportSet struct {
 	files map[string]string // import path -> export data file
 	imp   types.ImporterFrom
