@@ -17,9 +17,11 @@ vet:
 	$(GO) vet ./...
 
 # The single static-analysis entry point: the in-repo invariant suite
-# (poolescape, boundedgo, determinism, ctxflow, shardlock).
+# (poolescape, boundedgo, determinism, ctxflow, shardlock) plus the
+# whole-program deadexport rule.
 lint:
 	$(GO) run ./cmd/sizelessvet ./...
+	$(GO) test ./internal/analysis -run TestEveryInternalExportHasCaller
 
 test:
 	$(GO) test ./...

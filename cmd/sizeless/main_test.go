@@ -65,6 +65,10 @@ func TestTrainEvaluateRecommendPipeline(t *testing.T) {
 		"-function", "synthetic-0003", "-t", "0.75"}); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
+	if err := run(ctx, []string{"recommend", "-model", modelPath, "-dataset", dsPath,
+		"-function", "synthetic-0003", "-t", "NaN"}); err == nil {
+		t.Error("recommend -t NaN should error")
+	}
 	// The same model recommends under a different provider's pricing.
 	if err := run(ctx, []string{"recommend", "-model", modelPath, "-dataset", dsPath,
 		"-function", "synthetic-0003", "-provider", "azure-functions"}); err != nil {
@@ -241,6 +245,9 @@ func TestPlanSubcommand(t *testing.T) {
 	}
 	if err := run(ctx, []string{"plan", "-app", "hello-retail", "-t", "1.5"}); err == nil {
 		t.Error("out-of-range tradeoff should error")
+	}
+	if err := run(ctx, []string{"plan", "-app", "hello-retail", "-t", "NaN"}); err == nil {
+		t.Error("NaN tradeoff should error")
 	}
 }
 

@@ -31,6 +31,16 @@
 //   - shardlock: recommender methods must not call other locking Service
 //     methods or invoke user callbacks while holding a shard mutex.
 //
+// One whole-program rule is a test in this package rather than an
+// analyzer, since it needs every package of the program at once:
+//
+//   - deadexport (TestEveryInternalExportHasCaller): every exported
+//     function, method and constant under internal/ is referenced from a
+//     non-test file of the root module or of bench/. A method also counts
+//     as used when its type satisfies an interface that has it, the
+//     stdlib's implicit ones (fmt.Stringer, error, json.Marshaler)
+//     included. It honours the same lint:ignore comments.
+//
 // # Suppressing a finding
 //
 // A deliberate exception is silenced with a staticcheck-style comment on
@@ -78,9 +88,6 @@ type Pass struct {
 
 // Path returns the package's import path.
 func (p *Pass) Path() string { return p.Pkg.Path() }
-
-// Report emits one diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf emits a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -137,6 +144,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			}
 		}
 	}
+	sortFindings(out)
+	return out, nil
+}
+
+// sortFindings orders findings by file, line, column, then analyzer name.
+func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -150,7 +163,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out, nil
 }
 
 // ignorePrefix is the suppression marker, staticcheck-compatible so editors

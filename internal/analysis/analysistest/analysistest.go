@@ -47,6 +47,8 @@ func moduleDir(t *testing.T) string {
 }
 
 // TestData returns the testdata directory of the calling test's package.
+//
+//lint:ignore deadexport test fixture: every analyzer's test locates its fixtures through it
 func TestData(t *testing.T) string {
 	t.Helper()
 	wd, err := os.Getwd()
@@ -61,6 +63,8 @@ func TestData(t *testing.T) string {
 // want comments. Suppressions (//lint:ignore) are honoured exactly as in
 // cmd/sizelessvet, so fixtures assert both that violations are reported
 // and that justified exceptions stay silent.
+//
+//lint:ignore deadexport test fixture: every analyzer's test runs its fixtures through it
 func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	mod := moduleDir(t)

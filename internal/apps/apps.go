@@ -68,37 +68,9 @@ func (a App) Graph(times map[string]map[platform.MemorySize]float64) (*dag.Graph
 	return g, nil
 }
 
-// Spec returns the function with the given name.
-func (a App) Spec(name string) (*workload.Spec, error) {
-	for _, f := range a.Functions {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return nil, fmt.Errorf("apps: %s has no function %q", a.Name, name)
-}
-
-// FunctionNames lists the app's function names in declaration order.
-func (a App) FunctionNames() []string {
-	out := make([]string, len(a.Functions))
-	for i, f := range a.Functions {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // All returns the four case-study applications in paper order.
 func All() []App {
 	return []App{AirlineBooking(), FacialRecognition(), EventProcessing(), HelloRetail()}
-}
-
-// TotalFunctions counts functions across the given apps.
-func TotalFunctions(apps []App) int {
-	var n int
-	for _, a := range apps {
-		n += len(a.Functions)
-	}
-	return n
 }
 
 // AirlineBooking is the AWS Build On Serverless flight-booking app: eight

@@ -1,12 +1,15 @@
 package apps
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"sizeless/internal/dag"
 	"sizeless/internal/platform"
 	"sizeless/internal/runtime"
 	"sizeless/internal/services"
+	"sizeless/internal/workload"
 	"sizeless/internal/xrand"
 )
 
@@ -21,7 +24,9 @@ func TestPaperFunctionCounts(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("have %d apps, want 4", len(all))
 	}
+	var total int
 	for _, app := range all {
+		total += len(app.Functions)
 		want, ok := counts[app.Name]
 		if !ok {
 			t.Errorf("unexpected app %q", app.Name)
@@ -31,7 +36,7 @@ func TestPaperFunctionCounts(t *testing.T) {
 			t.Errorf("%s has %d functions, paper has %d", app.Name, len(app.Functions), want)
 		}
 	}
-	if got := TotalFunctions(all); got != 27 {
+	if got := total; got != 27 {
 		t.Errorf("total functions = %d, paper evaluates 27", got)
 	}
 }
@@ -65,7 +70,8 @@ func TestAllSpecsValidAndExecutable(t *testing.T) {
 func TestFunctionNamesUniqueAcrossApps(t *testing.T) {
 	seen := make(map[string]string)
 	for _, app := range All() {
-		for _, name := range app.FunctionNames() {
+		for _, spec := range app.Functions {
+			name := spec.Name
 			if other, dup := seen[name]; dup {
 				t.Errorf("function %q appears in both %s and %s", name, other, app.Name)
 			}
@@ -75,9 +81,8 @@ func TestFunctionNamesUniqueAcrossApps(t *testing.T) {
 }
 
 func TestPerAppSpecsValidateAndNamesUnique(t *testing.T) {
-	// App.Spec resolves functions by name and silently returns the first
-	// match, so a duplicate name inside one app would shadow a function;
-	// every spec must also pass workload validation on its own (not just
+	// The planner keys functions by name, so a duplicate name inside one
+	// app would shadow a function; every spec must also pass workload validation on its own (not just
 	// survive instantiation).
 	for _, app := range All() {
 		seen := make(map[string]bool, len(app.Functions))
@@ -111,8 +116,16 @@ func TestAppGraphsValidate(t *testing.T) {
 			t.Errorf("%s: %v", app.Name, err)
 			continue
 		}
-		if got := len(g.Functions()); got != len(app.Functions) {
-			t.Errorf("%s graph has %d functions, app has %d", app.Name, got, len(app.Functions))
+		pl, err := dag.PerFunction(context.Background(), g, dag.Config{
+			Platform: platform.DefaultConfig(),
+			Sizes:    []platform.MemorySize{platform.Mem256},
+		})
+		if err != nil {
+			t.Errorf("%s: %v", app.Name, err)
+			continue
+		}
+		if got := len(pl.Groups); got != len(app.Functions) {
+			t.Errorf("%s graph plans %d functions, app has %d", app.Name, got, len(app.Functions))
 		}
 	}
 
@@ -120,16 +133,6 @@ func TestAppGraphsValidate(t *testing.T) {
 	app := FacialRecognition()
 	if _, err := app.Graph(map[string]map[platform.MemorySize]float64{}); err == nil {
 		t.Error("Graph with no times succeeded")
-	}
-}
-
-func TestSpecLookup(t *testing.T) {
-	app := AirlineBooking()
-	if _, err := app.Spec("CreateCharge"); err != nil {
-		t.Errorf("known function not found: %v", err)
-	}
-	if _, err := app.Spec("Nope"); err == nil {
-		t.Error("unknown function should error")
 	}
 }
 
@@ -187,7 +190,7 @@ func TestWorkloadMixDiversity(t *testing.T) {
 	for _, app := range All() {
 		min, max := 1e18, 0.0
 		for _, spec := range app.Functions {
-			w := spec.TotalCPUWorkMs()
+			w := cpuWorkMs(spec)
 			if w < min {
 				min = w
 			}
@@ -199,4 +202,16 @@ func TestWorkloadMixDiversity(t *testing.T) {
 			t.Errorf("%s CPU work range [%v, %v] too uniform", app.Name, min, max)
 		}
 	}
+}
+
+// cpuWorkMs sums a spec's declared CPU work (client-side service CPU
+// excluded).
+func cpuWorkMs(spec *workload.Spec) float64 {
+	var total float64
+	for _, op := range spec.Ops {
+		if cpu, ok := op.(workload.CPUOp); ok {
+			total += cpu.WorkMs
+		}
+	}
+	return total
 }

@@ -10,7 +10,7 @@ import (
 	"sizeless/internal/platform"
 )
 
-// crashHugeNetwork once panicked nn.Load: its config claims a 4e9 × 4e9
+// crashHugeNetwork once panicked the network reader: its config claims a 4e9 × 4e9
 // layer that the file holds no weights for.
 const crashHugeNetwork = `{"config":{"Inputs":4000000000,"Outputs":4000000000,"Optimizer":"adam","Loss":"mse"},"weights":[],"biases":[]}`
 

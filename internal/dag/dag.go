@@ -200,16 +200,6 @@ func (g *Graph) Connect(e Edge) error {
 	return nil
 }
 
-// Functions returns the function names in insertion order.
-func (g *Graph) Functions() []string {
-	return append([]string(nil), g.names...)
-}
-
-// Edges returns a copy of the registered edges (defaults applied).
-func (g *Graph) Edges() []Edge {
-	return append([]Edge(nil), g.edges...)
-}
-
 // Validate checks structural soundness: at least one function, no duplicate
 // edges, and acyclicity. Add/Connect already reject unknown nodes,
 // self-loops, and duplicate names at construction time.

@@ -19,6 +19,8 @@ const fusedHeapHeadroom = 0.90
 // members', the request payload is the head's and the response the tail's,
 // and noise is the largest member's. The composed spec is what a
 // measurement campaign would deploy to validate a fusion decision.
+//
+//lint:ignore deadexport kept until the fused-unit time model is checked against the simulator it feeds
 func FuseSpecs(name string, members ...*workload.Spec) *workload.Spec {
 	if len(members) == 0 {
 		return nil

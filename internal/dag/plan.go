@@ -141,7 +141,7 @@ type Comparison struct {
 }
 
 // limit restricts a search to candidates that regress neither axis of a
-// reference plan (Compare's no-regression rule). Nil means unconstrained.
+// reference plan (Compare's no-regression rule).
 type limit struct {
 	maxCost, maxLat float64
 }
@@ -209,7 +209,7 @@ func newPlanner(g *Graph, cfg Config) (*planner, error) {
 	if cfg.Platform.Pricing == nil {
 		return nil, fmt.Errorf("dag: %s: Config.Platform.Pricing is nil", g.Name)
 	}
-	if cfg.Tradeoff < 0 || cfg.Tradeoff > 1 {
+	if !(cfg.Tradeoff >= 0 && cfg.Tradeoff <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("dag: %s: tradeoff %v outside [0,1]", g.Name, cfg.Tradeoff)
 	}
 	rates, err := g.rates()
@@ -554,8 +554,8 @@ func (p *planner) score(cost, lat float64) float64 {
 	return t*cost/p.cmin + (1-t)*lat/p.lmin
 }
 
-// searchShape finds the shape's S_total-minimizing size assignment,
-// restricted to lim when non-nil. Ties prefer the assignment encountered
+// searchShape finds the shape's S_total-minimizing size assignment
+// within lim. Ties prefer the assignment encountered
 // first in ascending-size enumeration order — i.e. smaller memory sizes,
 // mirroring the per-function optimizer's tie rule. Returns nil if the
 // shape is infeasible (or nothing in it satisfies lim).
@@ -563,7 +563,7 @@ func (p *planner) searchShape(sh *shape, lim *limit) []int {
 	if !sh.feasible {
 		return nil
 	}
-	if lim != nil && (sh.minCostSum > lim.maxCost || sh.minLatLB > lim.maxLat) {
+	if sh.minCostSum > lim.maxCost || sh.minLatLB > lim.maxLat {
 		return nil // even the shape's lower bounds regress the reference
 	}
 	if sh.combos <= float64(p.cfg.MaxExhaustive) {
@@ -593,12 +593,12 @@ func (p *planner) searchExhaustive(sh *shape, lim *limit) []int {
 		if t*(partialCost+suffixMin[gi])/p.cmin+latLB >= bestS {
 			return
 		}
-		if lim != nil && partialCost+suffixMin[gi] > lim.maxCost {
+		if partialCost+suffixMin[gi] > lim.maxCost {
 			return // no completion of this prefix can stay under the cap
 		}
 		if gi == n {
 			cost, lat := sh.eval(assign, finish)
-			if lim != nil && (cost > lim.maxCost || lat > lim.maxLat) {
+			if cost > lim.maxCost || lat > lim.maxLat {
 				return
 			}
 			if s := p.score(cost, lat); s < bestS {
@@ -625,10 +625,10 @@ func (p *planner) searchExhaustive(sh *shape, lim *limit) []int {
 
 // searchDescent is the deterministic fallback past MaxExhaustive:
 // coordinate descent from each group's locally best size, sweeping groups
-// in order until a full sweep improves nothing. Under a limit it first
-// descends on constraint violation until a feasible point is reached
-// (returning nil if it cannot), then descends on S_total accepting only
-// moves that stay feasible.
+// in order until a full sweep improves nothing. It first descends on
+// violation of lim until a feasible point is reached (returning nil if it
+// cannot), then descends on S_total accepting only moves that stay
+// feasible.
 func (p *planner) searchDescent(sh *shape, lim *limit) []int {
 	n := len(sh.groups)
 	t := p.cfg.Tradeoff
@@ -648,9 +648,6 @@ func (p *planner) searchDescent(sh *shape, lim *limit) []int {
 	}
 	finish := make([]float64, n)
 	viol := func(cost, lat float64) float64 {
-		if lim == nil {
-			return 0
-		}
 		return math.Max(0, cost/lim.maxCost-1) + math.Max(0, lat/lim.maxLat-1)
 	}
 	cost, lat := sh.eval(assign, finish)
@@ -748,9 +745,9 @@ func (p *planner) plan(sh *shape, assign []int) *Plan {
 
 // searchAll searches the given shapes over the pool and returns the plan
 // with the lowest S_total; earlier shapes win exact ties, so the result is
-// deterministic at any worker count. A non-nil seed is an assignment for
-// shapes[0] used as the incumbent (it wins ties), and lim restricts the
-// search to candidates regressing neither of its axes.
+// deterministic at any worker count. seed is an assignment for shapes[0]
+// used as the incumbent (it wins ties), and lim restricts the search to
+// candidates regressing neither of its axes.
 func (p *planner) searchAll(ctx context.Context, shapes []*shape, lim *limit, seed []int) (*Plan, error) {
 	assigns := make([][]int, len(shapes))
 	err := pool.Run(ctx, len(shapes), p.cfg.Workers, func(i int) error {
@@ -760,21 +757,14 @@ func (p *planner) searchAll(ctx context.Context, shapes []*shape, lim *limit, se
 	if err != nil {
 		return nil, err
 	}
-	var best *Plan
-	if seed != nil {
-		best = p.plan(shapes[0], seed)
-	}
+	best := p.plan(shapes[0], seed)
 	for i, sh := range shapes {
 		if assigns[i] == nil {
 			continue
 		}
-		pl := p.plan(sh, assigns[i])
-		if best == nil || pl.STotal < best.STotal {
+		if pl := p.plan(sh, assigns[i]); pl.STotal < best.STotal {
 			best = pl
 		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("dag: %s: no feasible plan", p.g.Name)
 	}
 	return best, nil
 }
@@ -819,28 +809,6 @@ func PerFunction(ctx context.Context, g *Graph, cfg Config) (*Plan, error) {
 	}
 	pl, _, err := p.perFunction()
 	return pl, err
-}
-
-// OptimizeSizes jointly chooses per-function sizes under the end-to-end
-// latency/cost objective without fusing anything.
-func OptimizeSizes(ctx context.Context, g *Graph, cfg Config) (*Plan, error) {
-	p, err := newPlanner(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.searchAll(ctx, p.shapes[:1], nil, nil)
-}
-
-// Optimize jointly chooses fusion decisions and per-function sizes,
-// minimizing S_total over every fusion plan × size assignment. The search
-// fans fusion plans out over internal/pool and is bit-identical per seed
-// at any worker count.
-func Optimize(ctx context.Context, g *Graph, cfg Config) (*Plan, error) {
-	p, err := newPlanner(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.searchAll(ctx, p.shapes, nil, nil)
 }
 
 // Compare runs all three planning modes over one shared normalization, so

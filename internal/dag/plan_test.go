@@ -35,6 +35,17 @@ func approx(t *testing.T, what string, got, want float64) {
 	}
 }
 
+// sizesOnly plans g without fusion. With one size on the grid it is the
+// only assignment there is, so it shows the end-to-end model directly.
+func sizesOnly(t *testing.T, g *Graph, cfg Config) *Plan {
+	t.Helper()
+	cmp, err := Compare(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cmp.SizesOnly
+}
+
 func TestCriticalPathChain(t *testing.T) {
 	g := New("chain")
 	mustAdd(t, g, spec("A", 20), flatTimes(10, 256))
@@ -42,10 +53,7 @@ func TestCriticalPathChain(t *testing.T) {
 	mustAdd(t, g, spec("C", 20), flatTimes(30, 256))
 	mustConnect(t, g, Edge{From: "A", To: "B"})
 	mustConnect(t, g, Edge{From: "B", To: "C"})
-	pl, err := OptimizeSizes(context.Background(), g, coldlessConfig(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := sizesOnly(t, g, coldlessConfig(256))
 	approx(t, "chain latency", pl.LatencyMs, 10+20+30+2*edgeLatMs(TriggerSync))
 	if pl.InvocationsPerReq != 3 {
 		t.Errorf("invocations = %v, want 3", pl.InvocationsPerReq)
@@ -62,10 +70,7 @@ func TestCriticalPathDiamond(t *testing.T) {
 	mustConnect(t, g, Edge{From: "A", To: "C"})
 	mustConnect(t, g, Edge{From: "B", To: "D"})
 	mustConnect(t, g, Edge{From: "C", To: "D"})
-	pl, err := OptimizeSizes(context.Background(), g, coldlessConfig(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := sizesOnly(t, g, coldlessConfig(256))
 	// The B branch dominates: A → B → D plus two sync hops.
 	approx(t, "diamond latency", pl.LatencyMs, 10+40+10+2*edgeLatMs(TriggerSync))
 	// Joins are event joins, not barriers: each branch triggers D once,
@@ -83,10 +88,7 @@ func TestCriticalPathFanOutAndStandalone(t *testing.T) {
 	mustAdd(t, g, spec("S", 20), flatTimes(100, 256)) // standalone, dominates
 	mustConnect(t, g, Edge{From: "A", To: "B", Trigger: TriggerQueue})
 	mustConnect(t, g, Edge{From: "A", To: "C", Trigger: TriggerQueue})
-	pl, err := OptimizeSizes(context.Background(), g, coldlessConfig(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := sizesOnly(t, g, coldlessConfig(256))
 	fanPath := 10 + 50 + edgeLatMs(TriggerQueue)
 	if fanPath >= 100 {
 		t.Fatal("test setup: standalone node must dominate")
@@ -146,20 +148,14 @@ func TestUnfusableGraphPlansIdentically(t *testing.T) {
 	mustAdd(t, g, spec("A", 20), times)
 	mustAdd(t, g, spec("B", 22), times)
 	mustConnect(t, g, Edge{From: "A", To: "B", Trigger: TriggerStream})
-	ctx := context.Background()
-	cfg := coldlessConfig(256, 1024)
-	fused, err := Optimize(ctx, g, cfg)
+	cmp, err := Compare(context.Background(), g, coldlessConfig(256, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes, err := OptimizeSizes(ctx, g, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(cmp.Fused, cmp.SizesOnly) {
+		t.Errorf("stream-only graph: fused plan %+v != sizes-only plan %+v", cmp.Fused, cmp.SizesOnly)
 	}
-	if !reflect.DeepEqual(fused, sizes) {
-		t.Errorf("stream-only graph: Optimize %+v != OptimizeSizes %+v", fused, sizes)
-	}
-	if fused.FusedUnits() != 0 {
+	if cmp.Fused.FusedUnits() != 0 {
 		t.Error("stream edge fused")
 	}
 }
@@ -203,12 +199,14 @@ func TestTiesPreferSmallerMemory(t *testing.T) {
 	pc.Pricing = platform.PricingModel{RequestCharge: 2e-7}
 	g := New("tie")
 	mustAdd(t, g, spec("A", 20), flatTimes(10, 128, 256, 512))
-	pl, err := Optimize(context.Background(), g, Config{Platform: pc, Sizes: []platform.MemorySize{128, 256, 512}})
+	cmp, err := Compare(context.Background(), g, Config{Platform: pc, Sizes: []platform.MemorySize{128, 256, 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Groups[0].Memory != 128 {
-		t.Errorf("tie resolved to %v, want 128", pl.Groups[0].Memory)
+	for _, pl := range []*Plan{cmp.PerFunction, cmp.SizesOnly, cmp.Fused} {
+		if pl.Groups[0].Memory != 128 {
+			t.Errorf("tie resolved to %v, want 128", pl.Groups[0].Memory)
+		}
 	}
 }
 
@@ -289,8 +287,8 @@ func TestSeedChangesColdSchedulesOnly(t *testing.T) {
 	// Different seeds may shift cold fractions but must still produce a
 	// valid plan; the same seed must reproduce bit-identically.
 	ctx := context.Background()
-	mk := func(seed int64) *Plan {
-		pl, err := Optimize(ctx, planningGraph(t), Config{
+	mk := func(seed int64) *Comparison {
+		cmp, err := Compare(ctx, planningGraph(t), Config{
 			Platform: platform.DefaultConfig(),
 			Sizes:    []platform.MemorySize{128, 256, 512, 1024},
 			Rate:     30,
@@ -299,7 +297,7 @@ func TestSeedChangesColdSchedulesOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pl
+		return cmp
 	}
 	if !reflect.DeepEqual(mk(3), mk(3)) {
 		t.Error("same seed produced different plans")
@@ -310,21 +308,25 @@ func TestConfigValidation(t *testing.T) {
 	g := New("cfg")
 	mustAdd(t, g, spec("A", 20), flatTimes(10, 256))
 	ctx := context.Background()
-	if _, err := Optimize(ctx, nil, coldlessConfig(256)); err == nil {
+	if _, err := Compare(ctx, nil, coldlessConfig(256)); err == nil {
 		t.Error("nil graph accepted")
 	}
 	bad := coldlessConfig(256)
 	bad.Tradeoff = 1.5
-	if _, err := Optimize(ctx, g, bad); err == nil {
+	if _, err := Compare(ctx, g, bad); err == nil {
 		t.Error("tradeoff 1.5 accepted")
+	}
+	bad.Tradeoff = math.NaN()
+	if _, err := Compare(ctx, g, bad); err == nil {
+		t.Error("NaN tradeoff accepted")
 	}
 	noPrice := coldlessConfig(256)
 	noPrice.Platform.Pricing = nil
-	if _, err := Optimize(ctx, g, noPrice); err == nil {
+	if _, err := Compare(ctx, g, noPrice); err == nil {
 		t.Error("nil pricer accepted")
 	}
 	// No overlap between Sizes and the node's times: planning must fail.
-	if _, err := Optimize(ctx, g, coldlessConfig(512)); err == nil {
+	if _, err := Compare(ctx, g, coldlessConfig(512)); err == nil {
 		t.Error("infeasible grid accepted")
 	}
 }
@@ -371,8 +373,8 @@ func randomGraph(t *testing.T, rng *xrand.Stream) (*Graph, []platform.MemorySize
 
 // TestDescentNeverBeatsExhaustive is the planner oracle: on seeded random
 // small DAGs, the coordinate-descent fallback (forced by MaxExhaustive 1)
-// never scores better than the default exhaustive search — for the free
-// searches and for Compare's no-regression searches alike. A better
+// never scores better than the default exhaustive search in Compare's
+// no-regression searches. A better
 // descent score would mean the exhaustive search pruned away its own
 // optimum. The test logs how far descent falls short.
 func TestDescentNeverBeatsExhaustive(t *testing.T) {
@@ -397,22 +399,6 @@ func TestDescentNeverBeatsExhaustive(t *testing.T) {
 			}
 			gaps = append(gaps, desc.STotal/exh.STotal-1)
 		}
-		exh, err := Optimize(ctx, g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		desc, err := Optimize(ctx, g, descCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Optimize", exh, desc)
-		if exh, err = OptimizeSizes(ctx, g, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if desc, err = OptimizeSizes(ctx, g, descCfg); err != nil {
-			t.Fatal(err)
-		}
-		check("OptimizeSizes", exh, desc)
 		exhCmp, err := Compare(ctx, g, cfg)
 		if err != nil {
 			t.Fatal(err)

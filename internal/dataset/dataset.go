@@ -81,6 +81,8 @@ func (d *Dataset) Validate() error {
 
 // Split partitions the dataset into train and test subsets with the given
 // test fraction, shuffled by rng. Rows are shared, not copied.
+//
+//lint:ignore deadexport the held-out slice the adapt loop's swap check is planned to score on
 func (d *Dataset) Split(testFraction float64, rng *xrand.Stream) (train, test *Dataset, err error) {
 	if testFraction < 0 || testFraction > 1 {
 		return nil, nil, errors.New("dataset: test fraction out of [0,1]")

@@ -134,7 +134,10 @@ type Lab struct {
 }
 
 // NewLab returns a lab at the given scale on the default (AWS-Lambda-like)
-// provider, reproducing the paper's platform.
+// provider, reproducing the paper's platform. It is a test fixture: the
+// root package's benchmarks and golden pins build their lab with it.
+//
+//lint:ignore deadexport test fixture shared by the root package's benchmarks and golden tests
 func NewLab(scale Scale) *Lab {
 	return NewLabFor(scale, platform.AWSLambda())
 }
@@ -194,14 +197,6 @@ func (l *Lab) Dataset(ctx context.Context) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
-// SetDataset injects a pre-built dataset (e.g. loaded from CSV).
-func (l *Lab) SetDataset(ds *dataset.Dataset) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ds = ds
-	l.models = make(map[platform.MemorySize]*core.Model)
-}
-
 // modelConfig returns the lab's model configuration for a base size.
 func (l *Lab) modelConfig(base platform.MemorySize) core.ModelConfig {
 	cfg := core.DefaultModelConfig(base)
@@ -229,40 +224,6 @@ func (l *Lab) Model(ctx context.Context, base platform.MemorySize) (*core.Model,
 	}
 	l.models[base] = m
 	return m, nil
-}
-
-// Models trains (and caches) the predictors for several base sizes in one
-// shot through the shared training pool — the §4 multi-network workflow.
-// Cached bases are skipped; results align with bases.
-func (l *Lab) Models(ctx context.Context, bases ...platform.MemorySize) ([]*core.Model, error) {
-	ds, err := l.Dataset(ctx)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var jobs []core.TrainJob
-	var missing []platform.MemorySize
-	for _, base := range bases {
-		if _, ok := l.models[base]; !ok {
-			jobs = append(jobs, core.TrainJob{Dataset: ds, Config: l.modelConfig(base)})
-			missing = append(missing, base)
-		}
-	}
-	if len(jobs) > 0 {
-		trained, err := core.TrainModels(ctx, jobs, l.Scale.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: training bases %v: %w", missing, err)
-		}
-		for i, base := range missing {
-			l.models[base] = trained[i]
-		}
-	}
-	out := make([]*core.Model, len(bases))
-	for i, base := range bases {
-		out[i] = l.models[base]
-	}
-	return out, nil
 }
 
 // CaseStudies lazily measures the four applications at every memory size

@@ -47,15 +47,6 @@ const (
 	scenarioQuorum = 2
 )
 
-// DetectionWindowBound is the documented detection-latency bound the
-// scenario lab asserts: an injected distribution shift must be detected
-// within this many windows of landing (1 = the shift window itself). The
-// shift scales every tested metric by scenarioShiftScale, so the first
-// full post-shift window already separates cleanly under the default
-// Mann-Whitney/Cliff's-delta thresholds; the bound leaves one window of
-// slack for baseline-boundary effects.
-const DetectionWindowBound = 2
-
 // scenarioTraceText is the embedded recorded-trace scenario: a bursty,
 // idle-heavy rate trace (requests per second) with step changes, the
 // traffic family where cost surprises concentrate.

@@ -41,9 +41,6 @@ type TransferCell struct {
 	StaleCostDelta, FineTunedCostDelta, FromScratchCostDelta float64
 }
 
-// OffDiagonal reports whether the cell crosses providers.
-func (c TransferCell) OffDiagonal() bool { return c.Source != c.Target }
-
 // TransferMatrixResult is the full source × target grid.
 type TransferMatrixResult struct {
 	// Providers lists the matrix axes in order.

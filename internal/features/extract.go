@@ -42,10 +42,7 @@ func NewExtractor(feats []Feature) (*Extractor, error) {
 	return &Extractor{feats: feats}, nil
 }
 
-// Width returns the number of features per row.
-func (e *Extractor) Width() int { return len(e.feats) }
-
-// Borrow returns an n×Width matrix backed by pooled storage and a release
+// Borrow returns an n×len(feats) matrix backed by pooled storage and a release
 // function that returns the storage to the pool. Contents are unspecified;
 // neither the matrix nor its rows may be used after release.
 func (e *Extractor) Borrow(n int) ([][]float64, func()) {

@@ -86,33 +86,19 @@ func CoVFeature(id monitoring.MetricID) Feature {
 	}
 }
 
-// PaperBaseMetrics returns the base metrics the final feature set F4 is
-// computed from. The paper's §3.4 selection found six: heap used, user CPU
-// time, system CPU time, voluntary context switches, bytes written to the
-// file system, and bytes received over the network. On this simulator's
-// training population the selection additionally keeps the file-system READ
-// counter and the bytes TRANSMITTED counter: file reads and uploads are
-// first-class memory-scalable resources here (image/file/S3-upload
-// segments), and without their rates a read- or upload-bound function is
-// indistinguishable from a wait-bound one — same low CPU/write/receive
-// rates, opposite scaling with memory.
-func PaperBaseMetrics() []monitoring.MetricID {
-	return []monitoring.MetricID{
-		monitoring.HeapUsed,
-		monitoring.UserCPUTime,
-		monitoring.SystemCPUTime,
-		monitoring.VolCtxSwitches,
-		monitoring.FSReads,
-		monitoring.FSWrites,
-		monitoring.BytesReceived,
-		monitoring.BytesTransmitted,
-	}
-}
-
 // PaperFinalFeatures returns our analogue of the paper's final feature set
-// F4 (eleven features on their data; twelve here, see PaperBaseMetrics):
-// every feature is derived from the base metrics plus the monitored
-// execution time, which anchors the input scale. Matching the paper's
+// F4 (eleven features on their data; twelve here): every feature is
+// derived from the base metrics plus the monitored execution time, which
+// anchors the input scale. The paper's §3.4 selection found six base
+// metrics: heap used, user CPU time, system CPU time, voluntary context
+// switches, bytes written to the file system, and bytes received over the
+// network. On this simulator's training population the selection
+// additionally keeps the file-system READ counter and the bytes
+// TRANSMITTED counter: file reads and uploads are first-class
+// memory-scalable resources here (image/file/S3-upload segments), and
+// without their rates a read- or upload-bound function is
+// indistinguishable from a wait-bound one — same low CPU/write/receive
+// rates, opposite scaling with memory. Matching the paper's
 // Fig. 5, the load-bearing features are *rates* (per-second
 // normalizations), which decorrelates them from raw execution length; the
 // remaining slots carry the std/CoV shape information added in the third
@@ -239,14 +225,4 @@ func Targets(ds *dataset.Dataset, base platform.MemorySize, targets []platform.M
 		y[i] = vec
 	}
 	return y, nil
-}
-
-// RatiosToTimes converts predicted ratios back to absolute execution times
-// given the monitored base execution time in ms.
-func RatiosToTimes(ratios []float64, baseMs float64) []float64 {
-	out := make([]float64, len(ratios))
-	for i, r := range ratios {
-		out[i] = r * baseMs
-	}
-	return out
 }

@@ -77,7 +77,10 @@ func TestPaperFinalFeatures(t *testing.T) {
 	}
 	// All derived from the base metrics (+ execution time).
 	base := map[string]bool{"executionTime": true}
-	for _, id := range PaperBaseMetrics() {
+	for _, id := range []monitoring.MetricID{
+		monitoring.HeapUsed, monitoring.UserCPUTime, monitoring.SystemCPUTime, monitoring.VolCtxSwitches,
+		monitoring.FSReads, monitoring.FSWrites, monitoring.BytesReceived, monitoring.BytesTransmitted,
+	} {
 		base[id.String()] = true
 	}
 	if len(base) != 9 {
@@ -146,13 +149,6 @@ func TestMatrixErrors(t *testing.T) {
 	}
 	if _, err := Targets(ds, platform.MemorySize(192), ds.Sizes); err == nil {
 		t.Error("missing base size should error")
-	}
-}
-
-func TestRatiosToTimes(t *testing.T) {
-	times := RatiosToTimes([]float64{2, 0.5}, 100)
-	if times[0] != 200 || times[1] != 50 {
-		t.Errorf("RatiosToTimes = %v", times)
 	}
 }
 
@@ -245,9 +241,9 @@ func TestForwardSelectErrors(t *testing.T) {
 
 func TestColumnsAndSubset(t *testing.T) {
 	x := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	sub := Columns(x, []int{2, 0})
+	sub := columns(x, []int{2, 0})
 	if sub[0][0] != 3 || sub[0][1] != 1 || sub[1][0] != 6 {
-		t.Errorf("Columns = %v", sub)
+		t.Errorf("columns = %v", sub)
 	}
 	feats := MeanFeatures()
 	picked := Subset(feats, []int{1, 3})

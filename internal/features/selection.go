@@ -91,10 +91,6 @@ func columns(x [][]float64, idx []int) [][]float64 {
 	return out
 }
 
-// Columns is the exported projection used by callers that need to apply a
-// selection result to fresh data.
-func Columns(x [][]float64, idx []int) [][]float64 { return columns(x, idx) }
-
 // Subset returns the features at the given indices.
 func Subset(feats []Feature, idx []int) []Feature {
 	out := make([]Feature, len(idx))

@@ -38,7 +38,10 @@ func fill(rng *xrand.Stream, inv *monitoring.Invocation, scale float64) {
 
 // Batch fabricates one window per function for a synthetic fleet, keyed
 // "fleet-fn-%04d". Identical (nFns, window, seed, scale) arguments yield
-// identical batches.
+// identical batches. It is a test fixture for the recommender, serve and
+// root packages.
+//
+//lint:ignore deadexport test fixture shared by the recommender, serve and root packages' tests
 func Batch(nFns, window int, seed int64, scale float64) map[string][]monitoring.Invocation {
 	rng := xrand.New(seed)
 	batch := make(map[string][]monitoring.Invocation, nFns)

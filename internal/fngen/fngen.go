@@ -145,10 +145,6 @@ func (g *Generator) drawSegmentCount() int {
 	return k
 }
 
-// GeneratedCount reports how many unique functions this generator has
-// produced so far.
-func (g *Generator) GeneratedCount() int { return len(g.seen) }
-
 // SAMTemplate renders the AWS SAM template.yaml the paper's generator emits
 // for a function, parameterized by memory size.
 func SAMTemplate(spec *workload.Spec, memoryMB int) string {

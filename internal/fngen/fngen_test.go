@@ -40,8 +40,8 @@ func TestGenerateUniqueFunctions(t *testing.T) {
 			t.Errorf("function %s has %d segments, want 1..4", fn.Name, n)
 		}
 	}
-	if g.GeneratedCount() != 200 {
-		t.Errorf("GeneratedCount = %d, want 200", g.GeneratedCount())
+	if len(g.seen) != 200 {
+		t.Errorf("generator has seen %d functions, want 200", len(g.seen))
 	}
 }
 
@@ -96,7 +96,7 @@ func TestGeneratedProfilesVary(t *testing.T) {
 		} else {
 			cpuOnly++
 		}
-		w := fn.TotalCPUWorkMs()
+		w := cpuWorkMs(fn)
 		if w < minCPU {
 			minCPU = w
 		}
@@ -211,4 +211,16 @@ func TestSetupTeardownScripts(t *testing.T) {
 	if !strings.HasPrefix(setup, "#!/bin/sh") {
 		t.Error("scripts should start with a shebang")
 	}
+}
+
+// cpuWorkMs sums a spec's declared CPU work (client-side service CPU
+// excluded).
+func cpuWorkMs(spec *workload.Spec) float64 {
+	var total float64
+	for _, op := range spec.Ops {
+		if cpu, ok := op.(workload.CPUOp); ok {
+			total += cpu.WorkMs
+		}
+	}
+	return total
 }

@@ -205,7 +205,7 @@ func TestAnalyzeStability(t *testing.T) {
 }
 
 func TestAnalyzeStabilityEmpty(t *testing.T) {
-	if _, err := AnalyzeStability(nil, DefaultStabilityOptions()); err == nil {
+	if _, err := AnalyzeStability(nil, StabilityOptions{}); err == nil {
 		t.Error("empty trace should error")
 	}
 }
@@ -219,12 +219,5 @@ func TestUnstableCounts(t *testing.T) {
 	row := counts[monitoring.HeapUsed]
 	if row[0] != 2 || row[1] != 1 {
 		t.Errorf("counts = %v, want [2 1]", row)
-	}
-}
-
-func TestDefaultStabilityOptions(t *testing.T) {
-	opts := DefaultStabilityOptions()
-	if len(opts.Prefixes) != 15 || opts.Full != 15*time.Minute {
-		t.Errorf("unexpected defaults: %+v", opts)
 	}
 }

@@ -25,15 +25,6 @@ type StabilityOptions struct {
 	Alpha float64
 }
 
-// DefaultStabilityOptions mirrors the paper's setup.
-func DefaultStabilityOptions() StabilityOptions {
-	prefixes := make([]time.Duration, 0, 15)
-	for m := 1; m <= 15; m++ {
-		prefixes = append(prefixes, time.Duration(m)*time.Minute)
-	}
-	return StabilityOptions{Prefixes: prefixes, Full: 15 * time.Minute, Alpha: 0.05}
-}
-
 // MetricStability reports, per metric and prefix, whether the prefix window
 // is *stable* (Mann-Whitney U fails to reject same-distribution vs the full
 // experiment) and the Cliff's delta effect size of the difference.

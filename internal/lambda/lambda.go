@@ -142,6 +142,3 @@ func (d *Deployment) spawn() (*warmpool.Instance[instance], error) {
 		},
 	}), nil
 }
-
-// PoolSize returns the current number of live instances.
-func (d *Deployment) PoolSize() int { return d.pool.Len() }

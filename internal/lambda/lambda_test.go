@@ -133,8 +133,8 @@ func TestConcurrencyLimitThrottles(t *testing.T) {
 	if res.Invocations != 10 {
 		t.Errorf("served = %d, want 10", res.Invocations)
 	}
-	if dep.PoolSize() != 10 {
-		t.Errorf("pool size = %d, want 10", dep.PoolSize())
+	if dep.pool.Len() != 10 {
+		t.Errorf("pool size = %d, want 10", dep.pool.Len())
 	}
 }
 
@@ -156,8 +156,8 @@ func TestKeepAliveReapsIdleInstances(t *testing.T) {
 	if res.ColdStarts != 2 {
 		t.Errorf("cold starts = %d, want 2 (keep-alive expiry)", res.ColdStarts)
 	}
-	if dep.PoolSize() != 1 {
-		t.Errorf("pool size = %d, want 1 after reaping", dep.PoolSize())
+	if dep.pool.Len() != 1 {
+		t.Errorf("pool size = %d, want 1 after reaping", dep.pool.Len())
 	}
 }
 

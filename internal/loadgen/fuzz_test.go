@@ -51,8 +51,8 @@ func FuzzParseTrace(f *testing.F) {
 		if err := tp.Validate(); err != nil {
 			t.Fatalf("accepted trace fails validation: %v", err)
 		}
-		if tp.Points() == 0 || tp.Points() > MaxTracePoints {
-			t.Fatalf("accepted trace has %d points, want (0, %d]", tp.Points(), MaxTracePoints)
+		if n := len(tp.offsets); n == 0 || n > MaxTracePoints {
+			t.Fatalf("accepted trace has %d points, want (0, %d]", n, MaxTracePoints)
 		}
 		for i, r := range tp.rates {
 			if !finiteNonNeg(r) || r > MaxTraceRate {

@@ -45,7 +45,9 @@ func Poisson(rate float64, duration time.Duration, rng *xrand.Stream) (Schedule,
 }
 
 // Constant returns a deterministic constant-rate schedule (Vegeta's default
-// pacing), useful for tests that need exact arrival counts.
+// pacing). It is a test fixture for tests that need exact arrival counts.
+//
+//lint:ignore deadexport test fixture shared by the lambda and fleetsynth tests
 func Constant(rate float64, duration time.Duration) (Schedule, error) {
 	if rate <= 0 || duration <= 0 {
 		return nil, ErrBadRate
@@ -59,7 +61,10 @@ func Constant(rate float64, duration time.Duration) (Schedule, error) {
 }
 
 // Burst prepends `size` simultaneous arrivals at time zero to a schedule —
-// the cold-start-storm scenario used in failure-injection tests.
+// the cold-start-storm scenario. It is a test fixture for failure-injection
+// tests.
+//
+//lint:ignore deadexport test fixture shared by the lambda and fleetsynth tests
 func Burst(size int, rest Schedule) Schedule {
 	out := make(Schedule, 0, size+len(rest))
 	for i := 0; i < size; i++ {
@@ -68,31 +73,10 @@ func Burst(size int, rest Schedule) Schedule {
 	return append(out, rest...)
 }
 
-// Rate estimates the average request rate of the schedule in requests per
-// second from the span between its first and last arrival. It returns 0 for
-// schedules with fewer than two arrivals or zero span.
-//
-// Because the span excludes any idle time before the first and after the
-// last arrival, Rate misreports bursty or short schedules: a 5-arrival
-// burst at t=0 inside a 10-minute horizon has zero span (Rate = 0), and a
-// schedule whose arrivals cluster early reports a rate far above the true
-// horizon average. Use RateOver with the experiment horizon whenever the
-// horizon is known.
-func (s Schedule) Rate() float64 {
-	if len(s) < 2 {
-		return 0
-	}
-	span := s[len(s)-1] - s[0]
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(s)-1) / span.Seconds()
-}
-
 // RateOver returns the average request rate of the schedule over an
 // explicit horizon d — arrivals divided by duration — which is well-defined
-// for bursty, sparse, and single-arrival schedules where the span-based
-// Rate degenerates. It returns 0 for a non-positive horizon.
+// for bursty, sparse, and single-arrival schedules. It returns 0 for a
+// non-positive horizon.
 func (s Schedule) RateOver(d time.Duration) float64 {
 	if d <= 0 {
 		return 0

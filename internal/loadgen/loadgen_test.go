@@ -100,32 +100,23 @@ func TestBurst(t *testing.T) {
 }
 
 func TestRateDegenerate(t *testing.T) {
-	if got := (Schedule{}).Rate(); got != 0 {
+	if got := (Schedule{}).RateOver(time.Minute); got != 0 {
 		t.Errorf("empty schedule rate = %v", got)
 	}
-	if got := (Schedule{0, 0}).Rate(); got != 0 {
-		t.Errorf("zero-span schedule rate = %v", got)
+	if got := (Schedule{0, 0}).RateOver(0); got != 0 {
+		t.Errorf("zero-horizon schedule rate = %v", got)
 	}
 }
 
 func TestRateOver(t *testing.T) {
-	// The span-based Rate degenerates on a pure burst (zero span); the
-	// horizon-aware RateOver reports the true average.
+	// A pure burst has zero span; the horizon-aware RateOver still
+	// reports the true average.
 	burst := Burst(600, nil)
-	if got := burst.Rate(); got != 0 {
-		t.Errorf("burst span-based rate = %v, want 0 (degenerate)", got)
-	}
 	if got := burst.RateOver(time.Minute); got != 10 {
 		t.Errorf("burst RateOver(1m) = %v, want 10", got)
 	}
 	if got := (Schedule{time.Second}).RateOver(2 * time.Second); got != 0.5 {
 		t.Errorf("single-arrival RateOver = %v, want 0.5", got)
-	}
-	if got := (Schedule{}).RateOver(time.Minute); got != 0 {
-		t.Errorf("empty RateOver = %v, want 0", got)
-	}
-	if got := burst.RateOver(0); got != 0 {
-		t.Errorf("RateOver(0) = %v, want 0", got)
 	}
 	if got := burst.RateOver(-time.Second); got != 0 {
 		t.Errorf("RateOver(<0) = %v, want 0", got)

@@ -99,9 +99,6 @@ func ParseTrace(r io.Reader) (*TraceProfile, error) {
 	return tp, nil
 }
 
-// Points returns the number of rate points in the trace.
-func (p *TraceProfile) Points() int { return len(p.offsets) }
-
 // index returns the index of the trace point in effect at t, or -1 if t is
 // before the first point.
 func (p *TraceProfile) index(t time.Duration) int {

@@ -48,13 +48,6 @@ func (a *Accumulator) Add(inv Invocation) {
 	}
 }
 
-// N returns the number of accumulated invocations.
-func (a *Accumulator) N() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
-}
-
 // Summary reduces the running statistics to a Summary. It returns
 // ErrNoSamples when nothing was accumulated.
 func (a *Accumulator) Summary() (Summary, error) {

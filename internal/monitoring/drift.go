@@ -74,23 +74,6 @@ const MinDriftSamples = 20
 // MinDriftSamples samples.
 var ErrWindowTooSmall = fmt.Errorf("monitoring: drift windows need at least %d samples each", MinDriftSamples)
 
-// DetectDrift compares an old and a new observation window of the same
-// function at the same memory size and reports which model-relevant metrics
-// shifted. A drifted report means the memory-size recommendation should be
-// recomputed from the new window's summary.
-//
-// For repeated comparisons against the same baseline — the stationary-fleet
-// steady state of a continuous recommender — prepare the baseline once with
-// PrepareBaseline and call DetectDriftAgainst instead: DetectDrift re-sorts
-// the unchanged baseline on every call.
-func DetectDrift(oldWindow, newWindow []Invocation, cfg DriftDetectorConfig) (DriftReport, error) {
-	cfg = cfg.withDefaults()
-	if len(oldWindow) < MinDriftSamples || len(newWindow) < MinDriftSamples {
-		return DriftReport{}, ErrWindowTooSmall
-	}
-	return DetectDriftAgainst(PrepareBaseline(oldWindow, cfg), newWindow, cfg)
-}
-
 // PreparedBaseline caches a baseline window's per-metric sorted samples so
 // a fleet-wide drift sweep stops re-sorting the unchanged baseline on
 // every pass: both rank tests (Mann-Whitney U and Cliff's delta) consume
@@ -122,12 +105,13 @@ func PrepareBaseline(oldWindow []Invocation, cfg DriftDetectorConfig) *PreparedB
 	return p
 }
 
-// N returns the number of invocations in the prepared baseline window.
-func (p *PreparedBaseline) N() int { return p.n }
-
-// DetectDriftAgainst is DetectDrift against a prepared baseline: only the
-// new window is gathered and sorted (into scratch reused across calls);
-// the baseline's cached ranks are consumed directly by both tests. The
+// DetectDriftAgainst compares a new observation window of a function with
+// a prepared baseline window of the same function at the same memory size
+// and reports which model-relevant metrics shifted. A drifted report means
+// the memory-size recommendation should be recomputed from the new
+// window's summary. Only the new window is gathered and sorted (into
+// scratch reused across calls); the baseline's cached ranks are consumed
+// directly by both tests. The
 // metric set is the one captured at PrepareBaseline time; cfg supplies the
 // thresholds.
 func DetectDriftAgainst(baseline *PreparedBaseline, newWindow []Invocation, cfg DriftDetectorConfig) (DriftReport, error) {

@@ -23,7 +23,7 @@ func benchWindow(seed int64, n int, scale float64) []Invocation {
 // variant sorts each baseline once per lifetime instead of once per sweep.
 
 // BenchmarkDriftSweepResort is the uncached detector: 200 functions per
-// sweep, every DetectDrift call re-gathers and re-sorts the unchanged
+// sweep, every detectDrift call re-gathers and re-sorts the unchanged
 // baseline alongside the new window.
 func BenchmarkDriftSweepResort(b *testing.B) {
 	const fns = 200
@@ -38,7 +38,7 @@ func BenchmarkDriftSweepResort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for f := 0; f < fns; f++ {
-			if _, err := DetectDrift(baselines[f], windows[f], cfg); err != nil {
+			if _, err := detectDrift(baselines[f], windows[f], cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

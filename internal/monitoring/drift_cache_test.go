@@ -7,18 +7,18 @@ import (
 
 // TestPreparedDetectorMatchesPlain asserts the rank cache is purely an
 // optimization: DetectDriftAgainst over a prepared baseline reports
-// exactly what DetectDrift reports, shifted or stationary, across repeated
+// exactly what detectDrift reports, shifted or stationary, across repeated
 // checks of the same baseline.
 func TestPreparedDetectorMatchesPlain(t *testing.T) {
 	cfg := DriftDetectorConfig{}
 	baseline := benchWindow(1, 120, 1)
 	prep := PrepareBaseline(baseline, cfg)
-	if prep.N() != 120 {
-		t.Fatalf("prepared baseline N = %d, want 120", prep.N())
+	if prep.n != 120 {
+		t.Fatalf("prepared baseline N = %d, want 120", prep.n)
 	}
 	for round, scale := range []float64{1, 3, 1, 0.3} {
 		window := benchWindow(int64(100+round), 90, scale)
-		want, err := DetectDrift(baseline, window, cfg)
+		want, err := detectDrift(baseline, window, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

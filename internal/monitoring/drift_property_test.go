@@ -24,14 +24,14 @@ func propertyWindow(rng *xrand.Stream, n int, scale float64) []Invocation {
 	return invs
 }
 
-// TestPropertySelfComparisonNeverDrifts: DetectDrift(w, w) must report no
+// TestPropertySelfComparisonNeverDrifts: detectDrift(w, w) must report no
 // shift for any window — identical samples are trivially same-distribution.
 func TestPropertySelfComparisonNeverDrifts(t *testing.T) {
 	rng := xrand.New(51)
 	for trial := 0; trial < 30; trial++ {
 		n := rng.UniformInt(20, 400)
 		w := propertyWindow(rng.DeriveIndexed("w", trial), n, rng.Uniform(0.2, 5))
-		report, err := DetectDrift(w, w, DriftDetectorConfig{})
+		report, err := detectDrift(w, w, DriftDetectorConfig{})
 		if err != nil {
 			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
 		}
@@ -57,7 +57,7 @@ func TestPropertyScaledMetricAlwaysDrifts(t *testing.T) {
 		for i := range shifted {
 			shifted[i].Metrics[target] *= factor
 		}
-		report, err := DetectDrift(old, shifted, DriftDetectorConfig{})
+		report, err := detectDrift(old, shifted, DriftDetectorConfig{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -91,15 +91,19 @@ func TestPropertyReorderingInvariance(t *testing.T) {
 		}
 		niw := propertyWindow(rng.DeriveIndexed("new", trial), n, scale)
 
-		want, err := DetectDrift(old, niw, DriftDetectorConfig{})
+		want, err := detectDrift(old, niw, DriftDetectorConfig{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		oldPerm := append([]Invocation(nil), old...)
-		newPerm := append([]Invocation(nil), niw...)
-		rng.Shuffle(len(oldPerm), func(i, j int) { oldPerm[i], oldPerm[j] = oldPerm[j], oldPerm[i] })
-		rng.Shuffle(len(newPerm), func(i, j int) { newPerm[i], newPerm[j] = newPerm[j], newPerm[i] })
-		got, err := DetectDrift(oldPerm, newPerm, DriftDetectorConfig{})
+		oldPerm := make([]Invocation, len(old))
+		for i, j := range rng.Perm(len(old)) {
+			oldPerm[i] = old[j]
+		}
+		newPerm := make([]Invocation, len(niw))
+		for i, j := range rng.Perm(len(niw)) {
+			newPerm[i] = niw[j]
+		}
+		got, err := detectDrift(oldPerm, newPerm, DriftDetectorConfig{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

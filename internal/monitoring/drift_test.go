@@ -7,16 +7,26 @@ import (
 	"sizeless/internal/xrand"
 )
 
+// detectDrift is the one-shot form of the detector: it prepares the old
+// window as a baseline and tests the new window against it.
+func detectDrift(oldWindow, newWindow []Invocation, cfg DriftDetectorConfig) (DriftReport, error) {
+	cfg = cfg.withDefaults()
+	if len(oldWindow) < MinDriftSamples || len(newWindow) < MinDriftSamples {
+		return DriftReport{}, ErrWindowTooSmall
+	}
+	return DetectDriftAgainst(PrepareBaseline(oldWindow, cfg), newWindow, cfg)
+}
+
 // window synthesizes invocations whose execution time and bytes-received
 // follow the given means.
 func window(n int, execMean, bytesMean float64, seed int64) []Invocation {
 	rng := xrand.New(seed).Derive("drift")
 	out := make([]Invocation, n)
 	for i := range out {
-		out[i].Metrics.Set(ExecutionTime, rng.LogNormal(execMean, 0.2))
-		out[i].Metrics.Set(BytesReceived, rng.LogNormal(bytesMean, 0.2))
-		out[i].Metrics.Set(UserCPUTime, rng.LogNormal(execMean*0.3, 0.2))
-		out[i].Metrics.Set(HeapUsed, rng.LogNormal(30, 0.05))
+		out[i].Metrics[ExecutionTime] = rng.LogNormal(execMean, 0.2)
+		out[i].Metrics[BytesReceived] = rng.LogNormal(bytesMean, 0.2)
+		out[i].Metrics[UserCPUTime] = rng.LogNormal(execMean*0.3, 0.2)
+		out[i].Metrics[HeapUsed] = rng.LogNormal(30, 0.05)
 	}
 	return out
 }
@@ -24,7 +34,7 @@ func window(n int, execMean, bytesMean float64, seed int64) []Invocation {
 func TestDetectDriftNoChange(t *testing.T) {
 	oldW := window(300, 100, 5000, 1)
 	newW := window(300, 100, 5000, 2)
-	report, err := DetectDrift(oldW, newW, DriftDetectorConfig{})
+	report, err := detectDrift(oldW, newW, DriftDetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +50,7 @@ func TestDetectDriftPayloadGrowth(t *testing.T) {
 	// The §5 scenario: payload size increases, execution gets longer.
 	oldW := window(300, 100, 5000, 1)
 	newW := window(300, 160, 20000, 2)
-	report, err := DetectDrift(oldW, newW, DriftDetectorConfig{})
+	report, err := detectDrift(oldW, newW, DriftDetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +77,7 @@ func TestDetectDriftDirection(t *testing.T) {
 	// Execution time decreasing (negative delta).
 	oldW := window(300, 160, 5000, 1)
 	newW := window(300, 100, 5000, 2)
-	report, err := DetectDrift(oldW, newW, DriftDetectorConfig{Metrics: []MetricID{ExecutionTime}})
+	report, err := detectDrift(oldW, newW, DriftDetectorConfig{Metrics: []MetricID{ExecutionTime}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestDetectDriftDirection(t *testing.T) {
 func TestDetectDriftSmallWindows(t *testing.T) {
 	oldW := window(10, 100, 5000, 1)
 	newW := window(300, 100, 5000, 2)
-	if _, err := DetectDrift(oldW, newW, DriftDetectorConfig{}); !errors.Is(err, ErrWindowTooSmall) {
+	if _, err := detectDrift(oldW, newW, DriftDetectorConfig{}); !errors.Is(err, ErrWindowTooSmall) {
 		t.Errorf("small window error = %v, want ErrWindowTooSmall", err)
 	}
 }
@@ -89,7 +99,7 @@ func TestDetectDriftNegligibleEffectIgnored(t *testing.T) {
 	// must be suppressed by the Cliff's-delta floor.
 	oldW := window(2000, 100.0, 5000, 1)
 	newW := window(2000, 101.5, 5000, 2)
-	report, err := DetectDrift(oldW, newW, DriftDetectorConfig{Metrics: []MetricID{ExecutionTime}})
+	report, err := detectDrift(oldW, newW, DriftDetectorConfig{Metrics: []MetricID{ExecutionTime}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,49 +72,12 @@ var metricNames = [NumMetrics]string{
 	StdEventLoopLag:     "elStdLag",
 }
 
-var metricSources = [NumMetrics]string{
-	ExecutionTime:       "process.hrtime()",
-	UserCPUTime:         "process.cpuUsage()",
-	SystemCPUTime:       "process.cpuUsage()",
-	VolCtxSwitches:      "process.resourceUsage()",
-	InvolCtxSwitches:    "process.resourceUsage()",
-	FSReads:             "process.resourceUsage()",
-	FSWrites:            "process.resourceUsage()",
-	ResidentSetSize:     "process.memoryUsage()",
-	MaxResidentSet:      "process.resourceUsage()",
-	TotalHeap:           "process.memoryUsage()",
-	HeapUsed:            "process.memoryUsage()",
-	PhysicalHeap:        "v8.getHeapStatistics()",
-	AvailableHeap:       "v8.getHeapStatistics()",
-	HeapLimit:           "v8.getHeapStatistics()",
-	MallocMem:           "v8.getHeapStatistics()",
-	ExternalMem:         "process.memoryUsage()",
-	BytecodeMetadata:    "v8.getHeapCodeStatistics()",
-	BytesReceived:       "/proc/net/dev",
-	BytesTransmitted:    "/proc/net/dev",
-	PackagesReceived:    "/proc/net/dev",
-	PackagesTransmitted: "/proc/net/dev",
-	MinEventLoopLag:     "perf_hooks",
-	MaxEventLoopLag:     "perf_hooks",
-	MeanEventLoopLag:    "perf_hooks",
-	StdEventLoopLag:     "perf_hooks",
-}
-
 // String returns the canonical short name of the metric.
 func (m MetricID) String() string {
 	if m < 0 || int(m) >= NumMetrics {
 		return fmt.Sprintf("metric(%d)", int(m))
 	}
 	return metricNames[m]
-}
-
-// Source returns the Node.js API the paper collects this metric from
-// (Table 1's "Metric Source" column).
-func (m MetricID) Source() string {
-	if m < 0 || int(m) >= NumMetrics {
-		return "unknown"
-	}
-	return metricSources[m]
 }
 
 // AllMetrics returns all metric IDs in Table-1 order.
@@ -140,12 +103,6 @@ func MetricByName(name string) (MetricID, error) {
 // MetricID. Time-valued metrics are in milliseconds, byte-valued metrics in
 // bytes, memory gauges in MB, counters in counts.
 type Vector [NumMetrics]float64
-
-// Get returns the value for the given metric.
-func (v *Vector) Get(id MetricID) float64 { return v[id] }
-
-// Set assigns the value for the given metric.
-func (v *Vector) Set(id MetricID, val float64) { v[id] = val }
 
 // Add accumulates other into v element-wise.
 func (v *Vector) Add(other *Vector) {

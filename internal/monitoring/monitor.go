@@ -125,17 +125,6 @@ func (s *MemoryStore) Invocations(functionID string) []Invocation {
 	return append([]Invocation(nil), s.data[functionID]...)
 }
 
-// Functions returns the IDs with at least one recorded invocation.
-func (s *MemoryStore) Functions() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.data))
-	for id := range s.data {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 var _ Store = (*MemoryStore)(nil)
 
 // ErrNilHandler is returned when the monitor wraps a nil handler.

@@ -21,11 +21,6 @@ type Summary struct {
 	CoV  Vector
 }
 
-// MeanExecutionTime returns the mean execution time as a duration.
-func (s Summary) MeanExecutionTime() time.Duration {
-	return time.Duration(s.Mean[ExecutionTime] * float64(time.Millisecond))
-}
-
 // ErrNoSamples is returned when summarizing zero invocations.
 var ErrNoSamples = errors.New("monitoring: no samples to summarize")
 
@@ -80,19 +75,6 @@ func MetricSamples(invs []Invocation, id MetricID) []float64 {
 		out[i] = inv.Metrics[id]
 	}
 	return out
-}
-
-// FilterWarm drops cold-start invocations. The dataset-generation harness
-// aggregates warm executions only, because cold starts mix platform
-// provisioning time into the execution-time signal.
-func FilterWarm(invs []Invocation) []Invocation {
-	warm := make([]Invocation, 0, len(invs))
-	for _, inv := range invs {
-		if !inv.ColdStart {
-			warm = append(warm, inv)
-		}
-	}
-	return warm
 }
 
 // Window returns the invocations whose start time falls in [from, to).

@@ -61,8 +61,8 @@ func TestBestValidationModelIsExactMinimum(t *testing.T) {
 			t.Errorf("seed %d: BestEpoch = %d, observed argmin %d", seed, st.BestEpoch, bestEpoch)
 		}
 		// The restored weights reproduce the minimum bit-for-bit through
-		// the independent EvalLoss path.
-		got, err := net.EvalLoss(vaX, vaY)
+		// the independent evalLoss path.
+		got, err := evalLoss(net, vaX, vaY)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestFrozenLayersSurviveBestRestore(t *testing.T) {
 			t.Fatalf("frozen layer weight changed at %d", i)
 		}
 	}
-	got, err := net.EvalLoss(vaX, vaY)
+	got, err := evalLoss(net, vaX, vaY)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestSessionSlicesMatchOneCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := NewTrainScratch()
+		ts := &TrainScratch{}
 		if done, err := s.Train(context.Background(), 7, ts); done || err != nil {
 			t.Fatalf("patience %d: first slice finished=%v err=%v", patience, done, err)
 		}

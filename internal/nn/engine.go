@@ -30,9 +30,6 @@ type TrainScratch struct {
 	val   ForwardScratch // one-row forward buffers of the validation pass
 }
 
-// NewTrainScratch returns an empty scratch; buffers grow on first use.
-func NewTrainScratch() *TrainScratch { return &TrainScratch{} }
-
 // ensure sizes every buffer for one batch of the network's shape.
 func (ts *TrainScratch) ensure(n *Network, batch int) {
 	ts.xb = growFloats(ts.xb, batch*n.cfg.Inputs)

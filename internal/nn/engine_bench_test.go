@@ -50,7 +50,7 @@ func benchConfig(seed int64) Config {
 // every consumer pays.
 func BenchmarkTrainEpoch(b *testing.B) {
 	x, y := benchTrainData()
-	ts := NewTrainScratch()
+	ts := &TrainScratch{}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

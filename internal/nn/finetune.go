@@ -19,9 +19,6 @@ func (n *Network) SetFrozenLayers(k int) error {
 	return nil
 }
 
-// FrozenLayers returns the number of currently frozen layers.
-func (n *Network) FrozenLayers() int { return n.frozen }
-
 // TrainEpochs continues training from the current weights for the given
 // number of epochs (respecting frozen layers) and returns the mean training
 // loss of the final epoch. Unlike Train, it does not reset any state — call

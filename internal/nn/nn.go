@@ -292,13 +292,6 @@ func (d *dense) forwardInto(x, out []float64) {
 	}
 }
 
-// lossAndGrad returns the per-sample loss and a fresh dL/dpred slice.
-func (n *Network) lossAndGrad(pred, truth []float64) (float64, []float64) {
-	grad := make([]float64, len(pred))
-	loss := n.lossAndGradInto(pred, truth, grad)
-	return loss, grad
-}
-
 // lossAndGradInto computes the per-sample loss, writing dL/dpred into grad
 // (which must be len(pred) long). It is the allocation-free core of the
 // batched loss pass.
@@ -361,24 +354,6 @@ func (n *Network) lossValue(pred, truth []float64) float64 {
 		}
 	}
 	return loss / float64(len(pred))
-}
-
-// EvalLoss computes the mean loss of the network's predictions on (X, Y)
-// without training.
-func (n *Network) EvalLoss(x, y [][]float64) (float64, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return 0, errors.New("nn: empty or mismatched eval data")
-	}
-	var total float64
-	for i := range x {
-		pred, err := n.Predict(x[i])
-		if err != nil {
-			return 0, err
-		}
-		loss, _ := n.lossAndGrad(pred, y[i])
-		total += loss
-	}
-	return total / float64(len(x)), nil
 }
 
 func sign(x float64) float64 {

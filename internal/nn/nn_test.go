@@ -1,10 +1,9 @@
 package nn
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"sizeless/internal/xrand"
@@ -140,7 +139,7 @@ func TestGradientCheck(t *testing.T) {
 				savedW[li] = append([]float64(nil), l.w...)
 				savedB[li] = append([]float64(nil), l.b...)
 			}
-			ts := NewTrainScratch()
+			ts := &TrainScratch{}
 			ts.ensure(net, 1)
 			net.ensureOptState()
 			net.trainBatch(x, y, []int{0}, ts)
@@ -253,21 +252,21 @@ func TestEvalLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := net.EvalLoss(x, y)
+	before, err := evalLoss(net, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := net.Train(context.Background(), x, y); err != nil {
 		t.Fatal(err)
 	}
-	after, err := net.EvalLoss(x, y)
+	after, err := evalLoss(net, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after >= before {
 		t.Errorf("training should reduce eval loss: %v -> %v", before, after)
 	}
-	if _, err := net.EvalLoss(nil, nil); err == nil {
+	if _, err := evalLoss(net, nil, nil); err == nil {
 		t.Error("empty eval should error")
 	}
 }
@@ -281,11 +280,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := net.Train(context.Background(), x, y); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	b, err := net.AppendJSON(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := parseNetwork(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +303,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Load(bytes.NewBufferString("{bad json")); err == nil {
+	if _, err := parseNetwork([]byte("{bad json")); err == nil {
 		t.Error("corrupt input should error")
 	}
 }
 
-// TestLoadRejectsShapeMismatch feeds Load configs whose declared layer
+// TestLoadRejectsShapeMismatch feeds the network reader configs whose declared layer
 // widths disagree with the serialized weights. The first input once
 // panicked while New sized a 4e9 × 4e9 layer for its config.
 func TestLoadRejectsShapeMismatch(t *testing.T) {
@@ -321,12 +320,12 @@ func TestLoadRejectsShapeMismatch(t *testing.T) {
 		"narrow row":              `{"config":{"Inputs":2,"Outputs":1},"weights":[[[1]]],"biases":[[0]]}`,
 	}
 	for name, in := range cases {
-		if _, err := Load(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: Load accepted %s", name, in)
+		if _, err := parseNetwork([]byte(in)); err == nil {
+			t.Errorf("%s: accepted %s", name, in)
 		}
 	}
 	ok := `{"config":{"Inputs":2,"Outputs":1},"weights":[[[1,2]]],"biases":[[3]]}`
-	net, err := Load(strings.NewReader(ok))
+	net, err := parseNetwork([]byte(ok))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,13 +357,9 @@ func TestScaler(t *testing.T) {
 		t.Errorf("standardized mean = %v", m)
 	}
 	// Round trip.
-	inv, err := s.Inverse(tr[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range inv {
-		if math.Abs(inv[j]-x[0][j]) > 1e-9 {
-			t.Errorf("inverse transform mismatch at %d: %v vs %v", j, inv[j], x[0][j])
+	for j, v := range tr[0] {
+		if inv := v*s.Std[j] + s.Mean[j]; math.Abs(inv-x[0][j]) > 1e-9 {
+			t.Errorf("inverse transform mismatch at %d: %v vs %v", j, inv, x[0][j])
 		}
 	}
 	// Errors.
@@ -403,4 +398,30 @@ func TestMAPETrainingOnRatioTargets(t *testing.T) {
 	if loss > 0.05 {
 		t.Errorf("MAPE after training = %v, want < 0.05", loss)
 	}
+}
+
+// lossAndGrad returns the per-sample loss and a fresh dL/dpred slice.
+func (n *Network) lossAndGrad(pred, truth []float64) (float64, []float64) {
+	grad := make([]float64, len(pred))
+	loss := n.lossAndGradInto(pred, truth, grad)
+	return loss, grad
+}
+
+// evalLoss computes the mean loss of the network's predictions on (x, y)
+// one row at a time through Predict: a path independent of the training
+// session's validation pass.
+func evalLoss(n *Network, x, y [][]float64) (float64, error) {
+	if len(x) == 0 || len(x) != len(y) {
+		return 0, errors.New("nn: empty or mismatched eval data")
+	}
+	var total float64
+	for i := range x {
+		pred, err := n.Predict(x[i])
+		if err != nil {
+			return 0, err
+		}
+		loss, _ := n.lossAndGrad(pred, y[i])
+		total += loss
+	}
+	return total / float64(len(x)), nil
 }

@@ -542,7 +542,7 @@ func TestTrainZeroSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTrainScratch()
+	ts := &TrainScratch{}
 	ctx := context.Background()
 	if _, err := net.TrainWith(ctx, x, y, 1, ts); err != nil {
 		t.Fatal(err) // warm-up: grows scratch and optimizer state

@@ -91,15 +91,3 @@ func (s *Scaler) TransformInPlace(x [][]float64) error {
 	}
 	return nil
 }
-
-// Inverse undoes the standardization of a row.
-func (s *Scaler) Inverse(row []float64) ([]float64, error) {
-	if len(row) != len(s.Mean) {
-		return nil, fmt.Errorf("nn: row has %d columns, scaler expects %d", len(row), len(s.Mean))
-	}
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = v*s.Std[j] + s.Mean[j]
-	}
-	return out, nil
-}

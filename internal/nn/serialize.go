@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 
@@ -19,18 +18,6 @@ import (
 // byte-for-byte compatible: AppendJSON writes the bytes encoding/json
 // writes for that shape, and Parse reads any file encoding/json reads into
 // it, so model files written by any engine version load in any other.
-
-// Save writes the network (architecture + weights) as one line of JSON.
-func (n *Network) Save(w io.Writer) error {
-	b, err := n.AppendJSON(nil)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("nn: save: %w", err)
-	}
-	return nil
-}
 
 // AppendJSON appends the network's compact JSON form to b. A NaN or
 // infinite weight or bias is an error, as it is for encoding/json.
@@ -100,27 +87,6 @@ func appendFloat(b []byte, v float64) []byte {
 		}
 	}
 	return b
-}
-
-// Load reconstructs a network saved with Save. It reads the whole reader,
-// which must hold one network object and nothing after it but JSON
-// whitespace. Optimizer state is not persisted; a loaded network predicts
-// identically but restarts training statistics from zero.
-func Load(r io.Reader) (*Network, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	s := jsonscan.Scanner{Data: data}
-	s.WS()
-	p, err := Parse(&s)
-	if err == nil {
-		err = s.End("after the network object")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	return p.Build()
 }
 
 // Parsed is one network read by Parse: its config, weight rows and bias

@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -20,7 +18,7 @@ const legacyModelJSON = `{
 }`
 
 func TestLoadLegacyNestedWeightFile(t *testing.T) {
-	net, err := Load(strings.NewReader(legacyModelJSON))
+	net, err := parseNetwork([]byte(legacyModelJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +50,15 @@ func TestSaveKeepsNestedWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	b, err := net.AppendJSON(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wire struct {
 		Weights [][][]float64 `json:"weights"`
 		Biases  [][]float64   `json:"biases"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+	if err := json.Unmarshal(b, &wire); err != nil {
 		t.Fatal(err)
 	}
 	if len(wire.Weights) != 2 || len(wire.Biases) != 2 {
@@ -73,7 +71,7 @@ func TestSaveKeepsNestedWireFormat(t *testing.T) {
 		t.Errorf("layer 1 wire shape %dx%d, want 2x4", len(wire.Weights[1]), len(wire.Weights[1][0]))
 	}
 	// Round trip through the wire format is weight-exact.
-	back, err := Load(bytes.NewReader(buf.Bytes()))
+	back, err := parseNetwork(b)
 	if err != nil {
 		t.Fatal(err)
 	}

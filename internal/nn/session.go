@@ -177,7 +177,8 @@ func (s *Session) Stats() TrainStats { return s.st }
 // evalWith computes the mean loss over (x, y) without training, one row
 // at a time through the scratch's validation forward buffers — the
 // allocation-free per-epoch validation pass. Summation order matches
-// EvalLoss exactly, so the two agree bit-for-bit on the same weights.
+// scoring each row through Predict, so the two agree bit-for-bit on the
+// same weights.
 func (n *Network) evalWith(x, y [][]float64, ts *TrainScratch) float64 {
 	var total float64
 	for i := range x {

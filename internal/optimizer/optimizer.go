@@ -57,7 +57,7 @@ func Optimize(times map[platform.MemorySize]float64, pricing platform.Pricer, tr
 	if pricing == nil {
 		return Recommendation{}, errors.New("optimizer: nil pricer")
 	}
-	if tradeoff < 0 || tradeoff > 1 {
+	if !(tradeoff >= 0 && tradeoff <= 1) { // also rejects NaN
 		return Recommendation{}, fmt.Errorf("optimizer: tradeoff %v outside [0,1]", tradeoff)
 	}
 

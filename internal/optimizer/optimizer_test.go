@@ -110,6 +110,9 @@ func TestOptimizeErrors(t *testing.T) {
 	if _, err := Optimize(flatTimes(), pricing, 1.1); err == nil {
 		t.Error("tradeoff > 1 should error")
 	}
+	if _, err := Optimize(flatTimes(), pricing, math.NaN()); err == nil {
+		t.Error("NaN tradeoff should error")
+	}
 	bad := map[platform.MemorySize]float64{128: -5}
 	if _, err := Optimize(bad, pricing, 0.5); err == nil {
 		t.Error("negative time should error")

@@ -64,9 +64,6 @@ func AllSizes64MB() []MemorySize {
 // GB returns the size expressed in gigabytes.
 func (m MemorySize) GB() float64 { return float64(m) / 1024 }
 
-// MB returns the size in megabytes as a float.
-func (m MemorySize) MB() float64 { return float64(m) }
-
 // String implements fmt.Stringer.
 func (m MemorySize) String() string { return fmt.Sprintf("%dMB", int(m)) }
 

@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Pricer is the billing scheme of one FaaS platform: what one invocation
 // of duration d at memory size m costs, and how raw durations round to
@@ -51,13 +48,6 @@ func DefaultPricing() PricingModel {
 	}
 }
 
-// LegacyPricing returns the pre-December-2020 model with 100 ms rounding.
-func LegacyPricing() PricingModel {
-	p := DefaultPricing()
-	p.BillingGranularity = 100 * time.Millisecond
-	return p
-}
-
 // BilledDuration rounds d up to the billing granularity and applies the
 // platform's minimum charge. Durations of zero still bill one granule, as
 // on the real platform.
@@ -87,28 +77,6 @@ func billedDuration(d, granularity, minBilled time.Duration) time.Duration {
 func (p PricingModel) Cost(m MemorySize, d time.Duration) float64 {
 	billed := p.BilledDuration(d).Seconds()
 	return billed*m.GB()*p.GBSecondRate + p.RequestCharge
-}
-
-// CostCents returns the invocation price in cents, the unit the paper's
-// Fig. 1 uses.
-func (p PricingModel) CostCents(m MemorySize, d time.Duration) float64 {
-	return p.Cost(m, d) * 100
-}
-
-// CostPerMillion returns the price in dollars of one million invocations,
-// a convenient unit for comparing configurations.
-func (p PricingModel) CostPerMillion(m MemorySize, d time.Duration) float64 {
-	return p.Cost(m, d) * 1e6
-}
-
-// BreakEvenSpeedup returns the factor by which execution time must shrink
-// when moving from size a to size b for the move to be cost-neutral
-// (ignoring the request charge). Values above 1 mean b must be faster.
-func (p PricingModel) BreakEvenSpeedup(a, b MemorySize) float64 {
-	if a <= 0 {
-		return math.Inf(1)
-	}
-	return float64(b) / float64(a)
 }
 
 // TieredPricing bills a bundled per-second rate per memory tier — the GCP

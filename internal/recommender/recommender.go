@@ -94,7 +94,7 @@ func (c Config) withDefaults() Config {
 // recommendation keeps a baseline every drift check rejects. Failing at
 // New turns that runtime poison into a construction-time error.
 func (c Config) validate() error {
-	if t := c.Tradeoff; t != nil && (*t < 0 || *t > 1) {
+	if t := c.Tradeoff; t != nil && !(*t >= 0 && *t <= 1) { // also rejects NaN
 		return fmt.Errorf("recommender: tradeoff %v outside [0,1]", *t)
 	}
 	if c.Workers < 0 {
@@ -193,9 +193,6 @@ func New(model *core.Model, cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Base returns the memory size ingested windows must be monitored at.
-func (s *Service) Base() platform.MemorySize { return s.model.Load().Config().Base }
 
 // SwapModel atomically replaces the prediction model behind future
 // recomputations and RecommendBatch calls — the hook the serve daemon's

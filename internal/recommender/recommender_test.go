@@ -94,8 +94,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Base() != platform.Mem256 {
-		t.Errorf("base = %v, want 256MB", svc.Base())
+	if base := svc.model.Load().Config().Base; base != platform.Mem256 {
+		t.Errorf("base = %v, want 256MB", base)
 	}
 }
 

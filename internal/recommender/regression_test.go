@@ -78,6 +78,7 @@ func TestConfigValidationAtConstruction(t *testing.T) {
 	}{
 		{"tradeoff above one", Config{Tradeoff: tradeoff(1.5)}, "tradeoff"},
 		{"negative tradeoff", Config{Tradeoff: tradeoff(-0.1)}, "tradeoff"},
+		{"NaN tradeoff", Config{Tradeoff: tradeoff(math.NaN())}, "tradeoff"},
 		{"negative workers", Config{Workers: -1}, "worker"},
 		{"negative shards", Config{Shards: -2}, "shard"},
 		{"negative min window", Config{MinWindow: -5}, "window"},

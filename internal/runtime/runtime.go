@@ -78,7 +78,6 @@ type Instance struct {
 
 	speedFactor float64
 	snap        monitoring.Snapshot
-	invocations int
 	initialized bool
 }
 
@@ -115,12 +114,6 @@ func NewInstance(env *Env, spec *workload.Spec, m platform.MemorySize, rng *xran
 	inst.snap.BytecodeMetaMB = spec.CodeMB * 0.4
 	return inst, nil
 }
-
-// Memory returns the instance's memory size.
-func (i *Instance) Memory() platform.MemorySize { return i.mem }
-
-// Invocations returns how many invocations this instance has served.
-func (i *Instance) Invocations() int { return i.invocations }
 
 // Snapshot implements monitoring.Probe.
 func (i *Instance) Snapshot() monitoring.Snapshot { return i.snap }
@@ -183,7 +176,6 @@ func (i *Instance) Invoke() (time.Duration, monitoring.LagSample, error) {
 	i.finishInvocation(&st)
 	lag := lagStats(st.lagSamples, i.rng)
 	dur := msToDur(st.wallMs)
-	i.invocations++
 	return dur, lag, nil
 }
 

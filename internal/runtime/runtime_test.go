@@ -157,9 +157,6 @@ func TestCountersCumulativeAcrossInvocations(t *testing.T) {
 	if s2.UserCPU <= s1.UserCPU {
 		t.Error("UserCPU should accumulate across invocations")
 	}
-	if inst.Invocations() != 2 {
-		t.Errorf("Invocations() = %d, want 2", inst.Invocations())
-	}
 	if s2.MaxRSSMB < s1.MaxRSSMB {
 		t.Error("MaxRSS must be monotone")
 	}
@@ -211,22 +208,22 @@ func TestMonitorIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv.Metrics.Get(monitoring.ExecutionTime) <= 0 {
+	if inv.Metrics[monitoring.ExecutionTime] <= 0 {
 		t.Error("executionTime should be positive")
 	}
 	// Two ExternalAPI calls with 4 KB responses plus no payload: 8 KB received.
-	if got := inv.Metrics.Get(monitoring.BytesReceived); got != 8*1024 {
+	if got := inv.Metrics[monitoring.BytesReceived]; got != 8*1024 {
 		t.Errorf("netByteRx = %v, want 8192", got)
 	}
-	if got := inv.Metrics.Get(monitoring.PackagesReceived); got <= 0 {
+	if got := inv.Metrics[monitoring.PackagesReceived]; got <= 0 {
 		t.Error("packets received should be positive")
 	}
-	if got := inv.Metrics.Get(monitoring.HeapUsed); got < spec.BaseHeapMB {
+	if got := inv.Metrics[monitoring.HeapUsed]; got < spec.BaseHeapMB {
 		t.Errorf("heapUsed = %v, want >= base heap %v", got, spec.BaseHeapMB)
 	}
 	// CPU time must not exceed wall time times the CPU share.
 	share := env.Platform.Resources.CPUShare(platform.Mem512)
-	if cpu, wall := inv.Metrics.Get(monitoring.UserCPUTime), inv.Metrics.Get(monitoring.ExecutionTime); cpu > wall*share*1.2 {
+	if cpu, wall := inv.Metrics[monitoring.UserCPUTime], inv.Metrics[monitoring.ExecutionTime]; cpu > wall*share*1.2 {
 		t.Errorf("user CPU %v implausibly high for wall %v at share %v", cpu, wall, share)
 	}
 }

@@ -12,9 +12,6 @@
 package segments
 
 import (
-	"fmt"
-	"sort"
-
 	"sizeless/internal/services"
 	"sizeless/internal/workload"
 	"sizeless/internal/xrand"
@@ -291,25 +288,4 @@ func Catalog() []Segment {
 			},
 		},
 	}
-}
-
-// ByName returns the catalog segment with the given name.
-func ByName(name string) (Segment, error) {
-	for _, s := range Catalog() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Segment{}, fmt.Errorf("segments: unknown segment %q", name)
-}
-
-// Names returns the catalog's segment names, sorted.
-func Names() []string {
-	cat := Catalog()
-	names := make([]string, len(cat))
-	for i, s := range cat {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
 }

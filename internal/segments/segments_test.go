@@ -85,9 +85,14 @@ func TestSegmentsDeclareTheirServices(t *testing.T) {
 func TestSegmentParameterVariability(t *testing.T) {
 	// Two builds with different streams must produce different parameters —
 	// otherwise the generator could not create 2000 distinct functions.
-	seg, err := ByName("primeNumbers")
-	if err != nil {
-		t.Fatal(err)
+	var seg Segment
+	for _, s := range Catalog() {
+		if s.Name == "primeNumbers" {
+			seg = s
+		}
+	}
+	if seg.Build == nil {
+		t.Fatal("primeNumbers not in the catalog")
 	}
 	a := seg.Build(xrand.New(1).Derive("a"))
 	b := seg.Build(xrand.New(1).Derive("b"))
@@ -103,23 +108,16 @@ func TestSegmentParameterVariability(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if _, err := ByName("matrixMultiply"); err != nil {
-		t.Errorf("known segment not found: %v", err)
+func TestCatalogNamesUnique(t *testing.T) {
+	cat := Catalog()
+	if len(cat) != 16 {
+		t.Fatalf("catalog has %d segments, want 16", len(cat))
 	}
-	if _, err := ByName("doesNotExist"); err == nil {
-		t.Error("unknown segment should error")
-	}
-}
-
-func TestNamesSortedUnique(t *testing.T) {
-	names := Names()
-	if len(names) != 16 {
-		t.Fatalf("Names() returned %d entries", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] <= names[i-1] {
-			t.Errorf("names not sorted/unique at %d: %q <= %q", i, names[i], names[i-1])
+	seen := make(map[string]bool, len(cat))
+	for _, s := range cat {
+		if seen[s.Name] {
+			t.Errorf("duplicate segment name %q", s.Name)
 		}
+		seen[s.Name] = true
 	}
 }

@@ -21,7 +21,8 @@ type AdaptConfig struct {
 	// Interval is the drift-quorum observation window (default 30s).
 	Interval time.Duration
 	// Quorum is the fraction of recommendation-bearing functions that
-	// must recompute within one interval to fire (default 0.25).
+	// must recompute within one interval to fire, in (0,1]; zero selects
+	// the default 0.25.
 	Quorum float64
 	// Patience is the early-stopping budget passed to Adapt as
 	// WithEarlyStopping: adaptation datasets are small, so a fixed epoch
@@ -56,7 +57,7 @@ func (c AdaptConfig) validate() error {
 	if !c.enabled() {
 		return nil
 	}
-	if c.Quorum > 1 {
+	if !(c.Quorum >= 0 && c.Quorum <= 1) { // negative or NaN never means the default
 		return fmt.Errorf("serve: adapt quorum %v outside (0,1]", c.Quorum)
 	}
 	return nil

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 			},
 		},
 	})
-	origPred := srv.Predictor()
+	origPred := srv.pred.Load()
 	origFP, err := origPred.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 		t.Fatal("drift quorum never triggered an adaptation")
 	}
 
-	adapted := srv.Predictor()
+	adapted := srv.pred.Load()
 	if adapted == origPred {
 		t.Error("serving predictor was not swapped")
 	}
@@ -88,18 +89,22 @@ func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 	}
 }
 
-// TestAdaptConfigValidation: a quorum above 1 can never fire; New rejects
-// it up front.
+// TestAdaptConfigValidation: New rejects a quorum outside (0,1] up front.
+// A quorum above 1 can never fire, a NaN one fires on any four drifted
+// functions (every comparison with NaN is false), and a negative one would
+// silently become the 0.25 default.
 func TestAdaptConfigValidation(t *testing.T) {
-	_, err := New(Config{
-		Predictor: testPredictor(t),
-		Adapt: AdaptConfig{
-			Source: func(context.Context) (*sizeless.Dataset, error) { return testDS, nil },
-			Quorum: 1.5,
-		},
-	})
-	if err == nil {
-		t.Fatal("New accepted quorum 1.5")
+	for _, q := range []float64{1.5, -0.5, math.NaN()} {
+		_, err := New(Config{
+			Predictor: testPredictor(t),
+			Adapt: AdaptConfig{
+				Source: func(context.Context) (*sizeless.Dataset, error) { return testDS, nil },
+				Quorum: q,
+			},
+		})
+		if err == nil {
+			t.Errorf("New accepted quorum %v", q)
+		}
 	}
 }
 

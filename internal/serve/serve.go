@@ -200,10 +200,6 @@ func New(cfg Config) (*Server, error) {
 // embedded deployments that mix HTTP and in-process ingestion.
 func (s *Server) Service() *recommender.Service { return s.svc }
 
-// Predictor returns the currently serving predictor; after a successful
-// auto-adaptation this is the adapted one.
-func (s *Server) Predictor() *sizeless.Predictor { return s.pred.Load() }
-
 // Started is closed once the listener is bound; Addr is valid after that.
 func (s *Server) Started() <-chan struct{} { return s.ready }
 

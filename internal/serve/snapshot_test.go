@@ -78,11 +78,11 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	if a, b := fleetJSON(t, orig), fleetJSON(t, restored); !bytes.Equal(a, b) {
 		t.Fatalf("restored fleet differs:\n original: %s\n restored: %s", a, b)
 	}
-	origFP, err := orig.Predictor().Fingerprint()
+	origFP, err := orig.pred.Load().Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restFP, err := restored.Predictor().Fingerprint()
+	restFP, err := restored.pred.Load().Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ const (
 	Aurora
 	Kinesis
 	ExternalAPI
-	numKinds = ExternalAPI
 )
 
 var kindNames = map[Kind]string{
@@ -57,15 +56,6 @@ func (k Kind) String() string {
 		return n
 	}
 	return fmt.Sprintf("service(%d)", int(k))
-}
-
-// AllKinds returns every service kind.
-func AllKinds() []Kind {
-	out := make([]Kind, 0, int(numKinds))
-	for k := DynamoDB; k <= ExternalAPI; k++ {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Profile describes one service's latency behaviour.

@@ -2,6 +2,7 @@ package services
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestAllKindsHaveProfilesAndNames(t *testing.T) {
 	reg := NewRegistry(nil)
-	for _, k := range AllKinds() {
+	for k := DynamoDB; k <= ExternalAPI; k++ {
 		if strings.HasPrefix(k.String(), "service(") {
 			t.Errorf("kind %d has no name", int(k))
 		}
@@ -61,7 +62,7 @@ func TestSampleLatencyMoments(t *testing.T) {
 	}
 	// Tail must be bounded.
 	p, _ := reg.Profile(DynamoDB)
-	if max := stats.Max(samples); max > p.TailMaxFactor*p.BaseLatencyMs+1e-9 {
+	if max := slices.Max(samples); max > p.TailMaxFactor*p.BaseLatencyMs+1e-9 {
 		t.Errorf("latency max %v exceeds tail bound", max)
 	}
 }
@@ -114,7 +115,7 @@ func TestRegistryCopiesInput(t *testing.T) {
 }
 
 func TestSetupTeardownScripts(t *testing.T) {
-	for _, k := range AllKinds() {
+	for k := DynamoDB; k <= ExternalAPI; k++ {
 		if SetupScript(k) == "# unknown service" {
 			t.Errorf("no setup script for %v", k)
 		}

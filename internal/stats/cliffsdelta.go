@@ -2,20 +2,6 @@ package stats
 
 import "sort"
 
-// CliffsDeltaMagnitude classifies the effect size of a Cliff's delta value
-// using the conventional thresholds from Romano et al. (2006), the same
-// convention the paper applies when declaring one-minute differences
-// "negligible" (§3.3).
-type CliffsDeltaMagnitude string
-
-// Effect-size categories for |delta|.
-const (
-	Negligible CliffsDeltaMagnitude = "negligible" // |d| < 0.147
-	Small      CliffsDeltaMagnitude = "small"      // |d| < 0.33
-	Medium     CliffsDeltaMagnitude = "medium"     // |d| < 0.474
-	Large      CliffsDeltaMagnitude = "large"      // otherwise
-)
-
 // CliffsDelta computes Cliff's delta, a non-parametric ordinal effect size:
 //
 //	d = (#{(i,j): x_i > y_j} - #{(i,j): x_i < y_j}) / (n1 * n2)
@@ -49,21 +35,4 @@ func CliffsDeltaPresorted(x, ys []float64) (float64, error) {
 		less += int64(len(ys) - hi)
 	}
 	return float64(greater-less) / (float64(len(x)) * float64(len(ys))), nil
-}
-
-// Magnitude classifies d per the conventional |delta| thresholds.
-func Magnitude(d float64) CliffsDeltaMagnitude {
-	if d < 0 {
-		d = -d
-	}
-	switch {
-	case d < 0.147:
-		return Negligible
-	case d < 0.33:
-		return Small
-	case d < 0.474:
-		return Medium
-	default:
-		return Large
-	}
 }

@@ -42,27 +42,6 @@ func TestCliffsDeltaEmptyInput(t *testing.T) {
 	}
 }
 
-func TestMagnitudeThresholds(t *testing.T) {
-	tests := []struct {
-		d    float64
-		want CliffsDeltaMagnitude
-	}{
-		{0, Negligible},
-		{0.1, Negligible},
-		{-0.1, Negligible},
-		{0.2, Small},
-		{-0.32, Small},
-		{0.4, Medium},
-		{0.5, Large},
-		{-1, Large},
-	}
-	for _, tt := range tests {
-		if got := Magnitude(tt.d); got != tt.want {
-			t.Errorf("Magnitude(%v) = %v, want %v", tt.d, got, tt.want)
-		}
-	}
-}
-
 // Property: delta in [-1, 1] and antisymmetric: delta(x,y) = -delta(y,x).
 func TestCliffsDeltaAntisymmetryProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -34,70 +34,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (divisor n-1).
-// It returns 0 when fewer than two samples are provided.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// CoV returns the coefficient of variation (std/mean) of xs.
-// It returns 0 when the mean is zero to keep downstream feature matrices
-// finite; a zero-mean metric carries no scale information anyway.
-func CoV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
-// Min returns the smallest element of xs. It returns +Inf for empty input so
-// that Min can be folded over possibly-empty groups.
-func Min(xs []float64) float64 {
-	min := math.Inf(1)
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the largest element of xs. It returns -Inf for empty input.
-func Max(xs []float64) float64 {
-	max := math.Inf(-1)
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns an error for empty input
 // or an out-of-range p.
@@ -126,31 +62,4 @@ func Percentile(xs []float64, p float64) (float64, error) {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) {
 	return Percentile(xs, 50)
-}
-
-// Summary bundles the descriptive statistics the monitoring layer reports
-// per metric (paper §3.4 uses mean, standard deviation and coefficient of
-// variation as model features).
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	CoV  float64
-	Min  float64
-	Max  float64
-}
-
-// Summarize computes a Summary of xs. An empty slice yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		CoV:  CoV(xs),
-		Min:  Min(xs),
-		Max:  Max(xs),
-	}
 }

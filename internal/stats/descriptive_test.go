@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,54 +29,6 @@ func TestMean(t *testing.T) {
 				t.Errorf("Mean(%v) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample variance with n-1 divisor: sum of squares = 32, n-1 = 7.
-	wantVar := 32.0 / 7.0
-	if got := Variance(xs); !almostEqual(got, wantVar, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, wantVar)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(wantVar), 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(wantVar))
-	}
-	if got := Variance([]float64{5}); got != 0 {
-		t.Errorf("Variance of single sample = %v, want 0", got)
-	}
-}
-
-func TestCoV(t *testing.T) {
-	if got := CoV([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("CoV of constant = %v, want 0", got)
-	}
-	if got := CoV([]float64{0, 0}); got != 0 {
-		t.Errorf("CoV of zero-mean = %v, want 0", got)
-	}
-	xs := []float64{10, 20}
-	want := StdDev(xs) / 15
-	if got := CoV(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("CoV = %v, want %v", got, want)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum = %v, want 11", got)
-	}
-	if got := Min(nil); !math.IsInf(got, 1) {
-		t.Errorf("Min(nil) = %v, want +Inf", got)
-	}
-	if got := Max(nil); !math.IsInf(got, -1) {
-		t.Errorf("Max(nil) = %v, want -Inf", got)
 	}
 }
 
@@ -120,17 +73,6 @@ func TestMedianDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	zero := Summarize(nil)
-	if zero.N != 0 || zero.Mean != 0 {
-		t.Errorf("empty summary should be zero: %+v", zero)
-	}
-}
-
 // Property: mean is bounded by min and max for any non-empty input.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -144,14 +86,15 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(clean)
-		return m >= Min(clean)-1e-9 && m <= Max(clean)+1e-9
+		return m >= slices.Min(clean)-1e-9 && m <= slices.Max(clean)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: variance is non-negative and invariant under shifting.
+// Property: the population variance behind ExplainedVariance is
+// non-negative and invariant under shifting.
 func TestVarianceShiftInvarianceProperty(t *testing.T) {
 	f := func(xs []float64, shift float64) bool {
 		clean := xs[:0:0]
@@ -163,7 +106,7 @@ func TestVarianceShiftInvarianceProperty(t *testing.T) {
 		if math.IsNaN(shift) || math.IsInf(shift, 0) || math.Abs(shift) > 1e6 {
 			shift = 1
 		}
-		v1 := Variance(clean)
+		v1 := populationVariance(clean)
 		if v1 < 0 {
 			return false
 		}
@@ -171,7 +114,7 @@ func TestVarianceShiftInvarianceProperty(t *testing.T) {
 		for i, x := range clean {
 			shifted[i] = x + shift
 		}
-		v2 := Variance(shifted)
+		v2 := populationVariance(shifted)
 		return almostEqual(v1, v2, 1e-6*(1+v1))
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -25,21 +25,6 @@ func MSE(pred, truth []float64) (float64, error) {
 	return s / float64(len(pred)), nil
 }
 
-// MAE returns the mean absolute error between predictions and targets.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, ErrLengthMismatch
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmptyInput
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred)), nil
-}
-
 // MAPE returns the mean absolute percentage error expressed as a fraction
 // (0.15 == 15%). Zero targets are skipped; if every target is zero, MAPE
 // returns an error since the quantity is undefined.
@@ -254,27 +239,4 @@ func SolveLinear(m [][]float64, b []float64) ([]float64, error) {
 		x[i] = s / aug[i][i]
 	}
 	return x, nil
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns an error when either input has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmptyInput
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: correlation undefined for constant input")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestMSEAndMAE(t *testing.T) {
+func TestMSE(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	truth := []float64{2, 2, 5}
 	mse, err := MSE(pred, truth)
@@ -16,13 +16,6 @@ func TestMSEAndMAE(t *testing.T) {
 	}
 	if want := (1.0 + 0 + 4) / 3; !almostEqual(mse, want, 1e-12) {
 		t.Errorf("MSE = %v, want %v", mse, want)
-	}
-	mae, err := MAE(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (1.0 + 0 + 2) / 3; !almostEqual(mae, want, 1e-12) {
-		t.Errorf("MAE = %v, want %v", mae, want)
 	}
 }
 
@@ -178,29 +171,6 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 	}
 	if !almostEqual(c[0], 1, 1e-9) || !almostEqual(c[1], 2, 1e-9) {
 		t.Errorf("coef = %v, want [1 2]", c)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Errorf("Pearson = %v, want 1", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, -1, 1e-12) {
-		t.Errorf("Pearson = %v, want -1", r)
-	}
-	if _, err := Pearson(xs, []float64{5, 5, 5, 5}); err == nil {
-		t.Error("expected error for constant input")
 	}
 }
 

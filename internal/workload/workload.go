@@ -215,29 +215,6 @@ func (s *Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TotalCPUWorkMs sums the declared CPU work across ops (client-side service
-// CPU excluded), useful for quick workload characterization.
-func (s *Spec) TotalCPUWorkMs() float64 {
-	var total float64
-	for _, op := range s.Ops {
-		if cpu, ok := op.(CPUOp); ok {
-			total += cpu.WorkMs
-		}
-	}
-	return total
-}
-
-// TotalServiceCalls counts the service round trips per invocation.
-func (s *Spec) TotalServiceCalls() int {
-	var total int
-	for _, op := range s.Ops {
-		if svc, ok := op.(ServiceOp); ok {
-			total += svc.Calls
-		}
-	}
-	return total
-}
-
 // Interface compliance checks.
 var (
 	_ Op = CPUOp{}

@@ -114,22 +114,6 @@ func TestSpecHashFormat(t *testing.T) {
 	}
 }
 
-func TestTotalCPUWorkMs(t *testing.T) {
-	s := validSpec()
-	s.Ops = []Op{
-		CPUOp{WorkMs: 10},
-		CPUOp{WorkMs: 5},
-		ServiceOp{Service: services.DynamoDB, Calls: 3},
-		SleepOp{Ms: 100},
-	}
-	if got := s.TotalCPUWorkMs(); got != 15 {
-		t.Errorf("TotalCPUWorkMs = %v, want 15", got)
-	}
-	if got := s.TotalServiceCalls(); got != 3 {
-		t.Errorf("TotalServiceCalls = %v, want 3", got)
-	}
-}
-
 func TestOpCanonicalDistinct(t *testing.T) {
 	ops := []Op{
 		CPUOp{Label: "a", WorkMs: 1, Parallelism: 1},

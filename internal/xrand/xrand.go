@@ -57,9 +57,6 @@ func (s *Stream) DeriveIndexed(name string, index int) *Stream {
 	return s.Derive(name + "#" + strconv.Itoa(index))
 }
 
-// Name returns the hierarchical name of the stream (for diagnostics).
-func (s *Stream) Name() string { return s.name }
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Stream) Float64() float64 { return s.rng.Float64() }
 
@@ -86,9 +83,6 @@ func (s *Stream) PermInto(dst []int) {
 		dst[j] = i
 	}
 }
-
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // NormFloat64 returns a standard normal variate.
 func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }

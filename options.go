@@ -275,7 +275,7 @@ func WithValidationSplit(frac float64) Option {
 // recommendation service (default 0.75, the paper's recommended setting).
 func WithTradeoff(t float64) Option {
 	return func(c *config) error {
-		if t < 0 || t > 1 {
+		if !(t >= 0 && t <= 1) { // also rejects NaN
 			return fmt.Errorf("WithTradeoff: %v outside [0,1]", t)
 		}
 		c.tradeoff = &t

@@ -349,6 +349,9 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := sizeless.GenerateDataset(ctx, sizeless.WithFunctions(1), sizeless.WithTradeoff(2)); err == nil {
 		t.Error("out-of-range tradeoff should error")
 	}
+	if _, err := sizeless.GenerateDataset(ctx, sizeless.WithFunctions(1), sizeless.WithTradeoff(math.NaN())); err == nil {
+		t.Error("NaN tradeoff should error")
+	}
 	if _, err := sizeless.GenerateDataset(ctx, sizeless.WithFunctions(1), sizeless.WithShards(0)); err == nil {
 		t.Error("non-positive shard count should error")
 	}
