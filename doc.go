@@ -149,11 +149,13 @@
 // best-validation weights seen — on the small corpora Adapt is designed
 // for, the fixed-budget alternative demonstrably overfits, and the
 // adapted model's Provenance records how many epochs were actually
-// spent. Model selection prunes the same way: core.GridSearchHalving
-// runs successive halving over the Table-2 grid (train 1/4 of the
-// budget, keep the best half by validation MSE, double, repeat),
-// spending half the epochs of the exhaustive sweep for a winner within
-// tolerance of the exhaustive one. BENCH_search.json records that
+// spent. Model selection itself (benchreport's Table-2 experiment) runs
+// the exhaustive core.GridSearch. core.GridSearchHalving, successive
+// halving over the same grid (train 1/4 of the budget, keep the best half
+// by validation MSE, double, repeat), is the candidate of the benchgate's
+// search pair and the subject of the goldenHalving pins: it spends half
+// the epochs of the exhaustive sweep for a winner within tolerance of the
+// exhaustive one, and no program calls it. BENCH_search.json records that
 // trajectory; its description carries the go test -bench command that
 // regenerates it.
 //
@@ -163,9 +165,12 @@
 // that never escapes its function, seed-reproducible randomness, context
 // propagation, and the recommender's shard-lock discipline — are
 // machine-enforced by an in-repo analyzer suite (internal/analysis, run
-// by cmd/sizelessvet). Deliberate exceptions are suppressed in source with
-// "//lint:ignore <analyzer> <reason>", so every exception is grepable and
-// carries its justification. CI runs the suite on every push.
+// by cmd/sizelessvet). One whole-program test beside it, deadexport,
+// requires every exported function, method and constant under internal/
+// to have a caller outside tests. Deliberate exceptions are suppressed in
+// source with "//lint:ignore <analyzer> <reason>", so every exception is
+// grepable and carries its justification. CI runs the suite on every
+// push.
 //
 // Everything underneath — the platform simulators, the Node.js-like
 // runtime with the 25 Table-1 metrics, the managed-service simulators, the

@@ -53,8 +53,10 @@
 //   - gridsearch.go / pdp.go — the Table 2 hyperparameter search and the
 //     Figure 5 partial-dependence analysis.
 //
-//   - halving.go — GridSearchHalving, the adaptive alternative to the
-//     exhaustive sweep: successive halving over the Table-2 grid (train
+//   - halving.go — GridSearchHalving, the benchgate's search-pair
+//     candidate and the subject of the goldenHalving pins; no program
+//     calls it. It is the adaptive alternative to the exhaustive sweep:
+//     successive halving over the Table-2 grid (train
 //     1/4 of each configuration's epoch budget, keep the best half by
 //     validation MSE, double the budget, repeat). Survivors train
 //     incrementally on the engine's persistent shuffle stream, so the

@@ -74,9 +74,10 @@ func (g GridSpec) Configs(base ModelConfig) []ModelConfig {
 
 // GridSearch evaluates every configuration in the grid with k-fold CV and
 // returns the results sorted by ascending MSE (best first) — the paper's
-// exhaustive Table-2 sweep, kept as the faithful §4 reproduction.
-// Production model selection should prefer GridSearchHalving, which finds
-// the same quality of winner for about half the epoch budget. Configurations
+// exhaustive Table-2 sweep and the model selection the Table-2
+// experiment runs. GridSearchHalving finds the same quality of winner for
+// about half the epoch budget, but only as the benchgate's search-pair
+// candidate and the subject of the goldenHalving pins. Configurations
 // run concurrently through the shared worker pool, bounded by base.Workers
 // (0 = GOMAXPROCS); every configuration reuses the same CV seed, so the
 // ranking is identical for any worker count. Cancelling ctx abandons
