@@ -109,13 +109,13 @@
 // description carries the go test -bench command that regenerates it.
 //
 // The deployment posture for all of this is the fleet daemon: "sizeless
-// serve" (internal/serve) exposes ingest/recommend/fleet/status over
-// HTTP with per-shard bounded admission queues (429 + Retry-After on
-// saturation, never unbounded buffering), CRC-guarded fleet snapshots
-// that restore byte-identically across restarts, and an optional
-// drift-quorum adaptation loop that re-fits and hot-swaps the model via
-// Predictor.SwapServiceModel when a fleet-wide workload shift is
-// detected.
+// serve" (internal/serve) exposes ingest/recommend/fleet/status over HTTP
+// with per-shard bounded admission queues (429 + Retry-After on
+// saturation), CRC-guarded fleet snapshots that restore byte-identically,
+// and a drift-quorum loop that re-fits the model on a fleet-wide shift.
+// Predictor.SwapServiceModel puts it live in one store: the service holds
+// the daemon's only model, which ingest, /v1/recommend, /v1/healthz and
+// snapshots read through Predictor.Serving.
 //
 // # The training engine
 //

@@ -431,8 +431,8 @@ func (m *Model) timesFromRatios(baseMs float64, ratios []float64) map[platform.M
 // extraction and scaling are amortized into single matrix operations, each
 // chunk of summaries moves through every ensemble member as one blocked
 // GEMM (nn.ForwardBatch), and chunks run concurrently on up to `workers`
-// goroutines (0 = GOMAXPROCS), clamped to the chunk count so small batches
-// never spawn idle workers.
+// goroutines (0 = GOMAXPROCS); pool.Run clamps that to the chunk count,
+// so small batches never spawn idle workers.
 // Results are positionally aligned with sums and deterministic. Rows that
 // fall in a four-row block of their chunk reassociate their dot products
 // and match Predict within a few ULPs; every other row is bit-identical
@@ -469,11 +469,6 @@ func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, wor
 	const chunk = 16
 	out := make([]map[platform.MemorySize]float64, len(sums))
 	nChunks := (len(sums) + chunk - 1) / chunk
-	if workers > nChunks {
-		// A single-function recompute must not spawn a fleet of idle pool
-		// goroutines; there is never more work than chunks.
-		workers = nChunks
-	}
 	err := pool.Run(ctx, nChunks, workers, func(c int) error {
 		bb := m.getBatchBuf(chunk)
 		defer m.batchPool.Put(bb)

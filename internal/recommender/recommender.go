@@ -219,6 +219,10 @@ func (s *Service) SwapModel(m *core.Model) error {
 	return nil
 }
 
+// Model returns the model behind recomputations and RecommendBatch right
+// now: the one New stored or the last SwapModel put live.
+func (s *Service) Model() *core.Model { return s.model.Load() }
+
 func equalSizes(a, b []platform.MemorySize) bool {
 	if len(a) != len(b) {
 		return false
@@ -553,13 +557,7 @@ func (s *Service) IngestBatch(ctx context.Context, batch map[string][]monitoring
 // with summaries. Unlike Ingest it does not touch per-function tracking
 // state.
 func (s *Service) RecommendBatch(ctx context.Context, summaries []monitoring.Summary) ([]optimizer.Recommendation, error) {
-	workers := s.cfg.Workers
-	if workers > len(summaries) {
-		// A small request must not spawn idle goroutines for a
-		// fleet-sized worker count.
-		workers = len(summaries)
-	}
-	times, err := s.model.Load().PredictBatch(ctx, summaries, workers)
+	times, err := s.model.Load().PredictBatch(ctx, summaries, s.cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("recommender: %w", err)
 	}

@@ -113,23 +113,22 @@ func (s *Server) adaptLoop(ctx context.Context) {
 }
 
 // adaptOnce runs one fine-tune-and-swap cycle: fetch the adaptation
-// dataset, Adapt with early stopping, swap the adapted model into the
-// service, and publish the new predictor to /v1/recommend and future
-// snapshots.
+// dataset, Adapt the serving model with early stopping, and swap it into
+// the service. That one store moves ingest, /v1/recommend, /v1/healthz and
+// later snapshots together, since all of them read the service's model.
 func (s *Server) adaptOnce(ctx context.Context, cfg AdaptConfig) error {
 	ds, err := cfg.Source(ctx)
 	if err != nil {
 		return fmt.Errorf("adaptation dataset: %w", err)
 	}
 	opts := append([]sizeless.Option{sizeless.WithEarlyStopping(cfg.Patience)}, cfg.Options...)
-	adapted, err := s.pred.Load().Adapt(ctx, ds, opts...)
+	adapted, err := s.cfg.Predictor.Serving(s.svc).Adapt(ctx, ds, opts...)
 	if err != nil {
 		return fmt.Errorf("adapt: %w", err)
 	}
 	if err := adapted.SwapServiceModel(s.svc); err != nil {
 		return fmt.Errorf("swap: %w", err)
 	}
-	s.pred.Store(adapted)
 	s.adaptations.Add(1)
 	prov := adapted.Provenance()
 	fp, fpErr := adapted.Fingerprint()

@@ -13,8 +13,8 @@ import (
 
 // TestAdaptLoopSwapsModelOnDriftQuorum drives the unattended §5 cycle end
 // to end: a fleet-wide workload shift trips the drift quorum, the daemon
-// fine-tunes on the adaptation dataset with early stopping, and both the
-// serving predictor and the service's recompute model are swapped live.
+// fine-tunes on the adaptation dataset with early stopping, and the
+// service's one serving model is swapped live.
 func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 	srv, base := startServer(t, Config{
 		ServiceOptions: []sizeless.Option{sizeless.WithMinWindow(50)},
@@ -29,8 +29,7 @@ func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 			},
 		},
 	})
-	origPred := srv.pred.Load()
-	origFP, err := origPred.Fingerprint()
+	origFP, err := srv.cfg.Predictor.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +55,13 @@ func TestAdaptLoopSwapsModelOnDriftQuorum(t *testing.T) {
 		t.Fatal("drift quorum never triggered an adaptation")
 	}
 
-	adapted := srv.pred.Load()
-	if adapted == origPred {
-		t.Error("serving predictor was not swapped")
-	}
+	adapted := srv.cfg.Predictor.Serving(srv.Service())
 	adaptedFP, err := adapted.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adaptedFP == origFP {
-		t.Error("adapted model fingerprint identical to the original")
+		t.Error("serving model was not swapped: fingerprint identical to the original")
 	}
 	prov := adapted.Provenance()
 	if !prov.EarlyStopped && prov.EpochsSpent >= prov.Epochs && prov.Epochs > 12 {

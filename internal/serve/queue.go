@@ -73,8 +73,8 @@ type shardQueue struct {
 
 	// drainPerJob is an EWMA of the observed per-job service time (the
 	// drainer's Ingest wall time, which excludes idle gaps between jobs).
-	// Zero until the first job completes; the Retry-After hint falls back
-	// to the configured fixed value until then.
+	// Zero until the first job completes; the Retry-After hint is the
+	// minRetryAfter floor until then.
 	drainPerJob time.Duration
 }
 

@@ -16,16 +16,17 @@
 //     memory ceiling is configuration, not traffic.
 //
 //   - Durable fleet state. On a timer and on shutdown the daemon writes a
-//     snapshot — model (via core.Model.Save) plus every function's
-//     status, baseline, and pending window — and restores it on restart:
-//     Fleet output is byte-identical across the restart and drift
-//     detection resumes against the restored baselines.
+//     snapshot — serving model plus every function's status, baseline and
+//     pending window — and restores it on restart: Fleet is byte-identical
+//     across the restart and drift detection resumes. It names the model
+//     read after the fleet, never one older than its recommendations.
 //
-//   - Unattended adaptation. A drift quorum watcher closes the §5 loop:
-//     when enough of the fleet re-recommends within one observation
-//     interval, the daemon fine-tunes the model (Predictor.Adapt with
-//     early stopping) on an operator-supplied adaptation dataset and
-//     swaps the adapted model into the live service without a restart.
+//   - Unattended adaptation (§5). When enough of the fleet re-recommends
+//     within one interval, a drift quorum watcher fine-tunes the model
+//     (Predictor.Adapt, early-stopped) on an operator-supplied dataset and
+//     swaps it in with one SwapServiceModel store: the service holds the
+//     daemon's only model, which ingest, /v1/recommend, /v1/healthz and
+//     snapshots all read.
 package serve
 
 import (
@@ -111,7 +112,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	svc    *recommender.Service
-	pred   atomic.Pointer[sizeless.Predictor]
 	queues []*shardQueue
 	mux    *http.ServeMux
 
@@ -178,7 +178,6 @@ func New(cfg Config) (*Server, error) {
 		queues: make([]*shardQueue, svc.NumShards()),
 		ready:  make(chan struct{}),
 	}
-	s.pred.Store(pred)
 	s.restored.Store(restored)
 	for i := range s.queues {
 		s.queues[i] = newShardQueue(cfg.QueueDepth, cfg.QueueBytes)
@@ -461,7 +460,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var recs []sizeless.Recommendation
 	var err error
 	if req.Tradeoff != nil {
-		recs, err = s.pred.Load().RecommendBatch(r.Context(), req.Summaries, *req.Tradeoff)
+		recs, err = s.cfg.Predictor.Serving(s.svc).RecommendBatch(r.Context(), req.Summaries, *req.Tradeoff)
 	} else {
 		recs, err = s.svc.RecommendBatch(r.Context(), req.Summaries)
 	}
@@ -497,7 +496,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.errMu.Lock()
 	lastErrs := append([]string(nil), s.lastErrors...)
 	s.errMu.Unlock()
-	fp, err := s.pred.Load().Fingerprint()
+	fp, err := s.cfg.Predictor.Serving(s.svc).Fingerprint()
 	if err != nil {
 		fp = "error: " + err.Error()
 	}

@@ -112,7 +112,10 @@ func syncDir(dir string) error {
 // WriteSnapshot streams the snapshot to w. It encodes the model once:
 // saving records the model's fingerprint, which the header then reads.
 func (s *Server) WriteSnapshot(w io.Writer) error {
-	pred := s.pred.Load()
+	fns := s.svc.Export()
+	// Read the model after Export, so no recommendation in the file comes
+	// from a model newer than the one the header names.
+	pred := s.cfg.Predictor.Serving(s.svc)
 	var model bytes.Buffer
 	if err := pred.Save(&model); err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
@@ -121,7 +124,6 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
-	fns := s.svc.Export()
 
 	bw := bufio.NewWriter(w)
 	head, err := json.Marshal(snapshotHeader{

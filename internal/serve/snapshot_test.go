@@ -8,7 +8,9 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sizeless"
@@ -78,11 +80,11 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	if a, b := fleetJSON(t, orig), fleetJSON(t, restored); !bytes.Equal(a, b) {
 		t.Fatalf("restored fleet differs:\n original: %s\n restored: %s", a, b)
 	}
-	origFP, err := orig.pred.Load().Fingerprint()
+	origFP, err := orig.cfg.Predictor.Serving(orig.Service()).Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restFP, err := restored.pred.Load().Fingerprint()
+	restFP, err := restored.cfg.Predictor.Serving(restored.Service()).Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +383,9 @@ func TestSnapshotNonFiniteModelKeepsPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.pred.Store(nanPred)
+	if err := nanPred.SwapServiceModel(srv.Service()); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := srv.Snapshot(); err == nil || !strings.Contains(err.Error(), "unsupported value") {
 		t.Fatalf("Snapshot of a model with a NaN scaler value: %v, want an unsupported-value error", err)
@@ -396,4 +400,204 @@ func TestSnapshotNonFiniteModelKeepsPrevious(t *testing.T) {
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
 		t.Errorf("snapshot directory holds %d entries (%v), want only the snapshot", len(entries), err)
 	}
+}
+
+var (
+	adaptedOnce sync.Once
+	adaptedPred *sizeless.Predictor
+	adaptedErr  error
+)
+
+// testAdapted is the shared test predictor fine-tuned once more: a second
+// model with the same base and grid, so it can be swapped in.
+func testAdapted(t testing.TB) *sizeless.Predictor {
+	t.Helper()
+	base := testPredictor(t)
+	adaptedOnce.Do(func() {
+		adaptedPred, adaptedErr = base.Adapt(context.Background(), testDS,
+			sizeless.WithFineTuneEpochs(12), sizeless.WithSeed(5))
+	})
+	if adaptedErr != nil {
+		t.Fatalf("adapting test predictor: %v", adaptedErr)
+	}
+	return adaptedPred
+}
+
+func fingerprint(t testing.TB, p *sizeless.Predictor) string {
+	t.Helper()
+	fp, err := p.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
+// restoreFrom starts an un-Run daemon on the shared test predictor from
+// snapshot bytes.
+func restoreFrom(t *testing.T, snap []byte, opts ...sizeless.Option) *Server {
+	t.Helper()
+	path := t.TempDir() + "/fleet.snap"
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Predictor: testPredictor(t), ServiceOptions: opts, SnapshotPath: path, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.restored.Load() {
+		t.Fatal("daemon did not restore from the snapshot")
+	}
+	return srv
+}
+
+// TestSwapReachesHealthzAndSnapshot: a model put live through the public
+// SwapServiceModel is the model /v1/healthz and snapshots name, so a
+// daemon restored from a snapshot taken after the swap recomputes on it
+// and keeps in step with the original.
+func TestSwapReachesHealthzAndSnapshot(t *testing.T) {
+	opts := []sizeless.Option{sizeless.WithMinWindow(50)}
+	srv, base := startServer(t, Config{ServiceOptions: opts})
+	ctx := context.Background()
+	if _, err := srv.Service().IngestBatch(ctx, fleetsynth.Batch(8, 120, 11, 1)); err != nil {
+		t.Fatal(err)
+	}
+	adapted := testAdapted(t)
+	want := fingerprint(t, adapted)
+	if want == fingerprint(t, testPredictor(t)) {
+		t.Fatal("adapted test model fingerprints like the original")
+	}
+	if err := adapted.SwapServiceModel(srv.Service()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Service().IngestBatch(ctx, fleetsynth.Batch(8, 120, 13, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Service().Summarize().Recomputations; got == 0 {
+		t.Fatal("shifted traffic triggered no recomputations on the swapped model")
+	}
+
+	var health Health
+	if code := getJSON(t, base+"/v1/healthz", &health); code != 200 {
+		t.Fatalf("healthz = %d", code)
+	}
+	if health.ModelFingerprint != want {
+		t.Errorf("healthz fingerprint %s, want the swapped-in %s", health.ModelFingerprint, want)
+	}
+	var buf bytes.Buffer
+	if err := srv.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ModelFingerprint != want {
+		t.Errorf("snapshot header names %s, want the swapped-in %s", snap.ModelFingerprint, want)
+	}
+
+	restored := restoreFrom(t, buf.Bytes(), opts...)
+	shifted := fleetsynth.Batch(8, 120, 14, 1)
+	if _, err := srv.Service().IngestBatch(ctx, shifted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Service().IngestBatch(ctx, shifted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fleetJSON(t, srv), fleetJSON(t, restored)) {
+		t.Fatal("the restored fleet diverged from the original's after one more shift")
+	}
+}
+
+// TestSnapshotDuringSwapNamesItsModel races snapshots against a swap from
+// model A to model B and the shifts that recompute the fleet on B. Every
+// snapshot must restore, and one that holds a recommendation only B
+// produces must name B in its header: a snapshot may lag a swap, but
+// never cite an older model than its recommendations came from.
+func TestSnapshotDuringSwapNamesItsModel(t *testing.T) {
+	a, b := testPredictor(t), testAdapted(t)
+	fpB := fingerprint(t, b)
+	opts := []sizeless.Option{sizeless.WithMinWindow(20)}
+	srv, err := New(Config{Predictor: a, ServiceOptions: opts, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := srv.Service().IngestBatch(ctx, fleetsynth.Batch(6, 40, 51, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The swapper takes one step per finished snapshot, so its swap and
+	// shifts spread over many snapshots and each step races one of them.
+	done, wrote := make(chan struct{}), make(chan struct{}, 1)
+	var swapErr error
+	go func() {
+		defer close(done)
+		for i := range 10 {
+			<-wrote
+			if i == 4 {
+				if swapErr = b.SwapServiceModel(srv.Service()); swapErr != nil {
+					return
+				}
+			}
+			if _, swapErr = srv.Service().IngestBatch(ctx, fleetsynth.Batch(6, 40, int64(52+i), float64(1+3*(i%2)))); swapErr != nil {
+				return
+			}
+		}
+	}()
+	var snaps [][]byte
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one more snapshot, after the last shift
+		default:
+		}
+		var buf bytes.Buffer
+		if err := srv.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, buf.Bytes())
+		select {
+		case wrote <- struct{}{}:
+		default:
+		}
+	}
+	if swapErr != nil {
+		t.Fatal(swapErr)
+	}
+
+	bOnly := 0
+	for i, raw := range snaps {
+		snap, err := ReadSnapshot(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		restoreFrom(t, raw, opts...)
+		for _, fn := range snap.Functions {
+			st := fn.Status
+			if !st.HasRecommendation {
+				continue
+			}
+			sum, err := monitoring.Summarize(fn.Baseline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recA, errA := a.Recommend(sum, st.Recommendation.Tradeoff)
+			recB, errB := b.Recommend(sum, st.Recommendation.Tradeoff)
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			if !reflect.DeepEqual(st.Recommendation, recB) || reflect.DeepEqual(st.Recommendation, recA) {
+				continue
+			}
+			bOnly++
+			if snap.ModelFingerprint != fpB {
+				t.Fatalf("snapshot %d holds %s's recommendation from model B but names model %s",
+					i, st.FunctionID, snap.ModelFingerprint)
+			}
+		}
+	}
+	if bOnly == 0 {
+		t.Fatal("no snapshot held a recommendation only model B produces; the swap was not exercised")
+	}
+	t.Logf("%d snapshots, %d model-B recommendations", len(snaps), bOnly)
 }

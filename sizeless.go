@@ -424,6 +424,13 @@ func (p *Predictor) SwapServiceModel(svc *Service) error {
 	return nil
 }
 
+// Serving returns the predictor for the model svc serves right now, bound
+// to p's provider and worker count: after SwapServiceModel, the swapped-in
+// model, so the service's model pointer is the only copy to keep.
+func (p *Predictor) Serving(svc *Service) *Predictor {
+	return &Predictor{model: svc.Model(), provider: p.provider, workers: p.workers}
+}
+
 // Fingerprint returns a stable hex hash of the predictor's serialized model
 // state. Two predictors fingerprint equal exactly when Save would write
 // identical bytes — the identity the serve daemon stamps into fleet
