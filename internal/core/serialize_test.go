@@ -269,6 +269,11 @@ func modelDecodeSeeds(tb testing.TB, saved []byte) []string {
 		p.model(firstWeight("1e-7")),
 		p.model(firstWeight("5e-324")),
 		p.model(firstWeight("2.2250738585072011e-308")),
+		p.model(firstWeight("1e-310")),
+		p.model(firstWeight("12345678901234567891")),
+		p.model(firstWeight("1.00000000000000011102230246251565404236316680908203125")),
+		p.model(firstWeight("1e99999999999999999999")),
+		p.model(firstWeight("0." + strings.Repeat("0", 25) + "1")),
 		p.model(firstWeight("1E+2")),
 		p.model(firstWeight("01")),
 		p.model(firstWeight("1.")),

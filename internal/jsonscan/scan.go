@@ -5,6 +5,13 @@
 // the nesting limit, and the way struct field names match keys are
 // encoding/json's. FuzzIngestDecode and FuzzModelDecode hold the decoders
 // built on it to that against encoding/json itself.
+//
+// Numbers are converted in the pass that checks their grammar: Float
+// reads the significant digits into an integer and a decimal exponent as
+// it scans, then converts them exactly or with Eisel–Lemire, and hands
+// only the rare number neither can decide to strconv.ParseFloat.
+// FuzzFloat holds it to the grammar check followed by
+// strconv.ParseFloat, bit for bit.
 package jsonscan
 
 import (
@@ -263,42 +270,106 @@ func (s *Scanner) Enter(delim byte, target string) (bool, error) {
 // Number consumes the number at Pos, checked against the JSON number
 // grammar, and returns its bytes.
 func (s *Scanner) Number() ([]byte, error) {
-	data, start := s.Data, s.Pos
-	i := start
+	start := s.Pos
+	if _, err := s.number(); err != nil {
+		return nil, err
+	}
+	return s.Data[start:s.Pos], nil
+}
+
+// decimal is a scanned number: man × 10^exp10, negated if neg. man holds
+// the first 19 significant digits, which always fit in a uint64; trunc
+// reports that a non-zero digit after them was dropped.
+type decimal struct {
+	man        uint64
+	exp10      int
+	neg, trunc bool
+}
+
+// maxMantDigits is the number of significant digits decimal.man holds.
+const maxMantDigits = 19
+
+// number consumes the number at Pos, checked against the JSON number
+// grammar, and returns its value as a decimal. It reads the digits the
+// way strconv.ParseFloat does, exponent cap included, so that a decimal
+// converts to the float64 strconv would return.
+func (s *Scanner) number() (d decimal, err error) {
+	data, i := s.Data, s.Pos
 	if i < len(data) && data[i] == '-' {
+		d.neg = true
 		i++
 	}
+	nd := 0 // significant digits read into man
 	switch {
 	case i < len(data) && data[i] == '0':
 		i++
 	case i < len(data) && '1' <= data[i] && data[i] <= '9':
-		i = digits(data, i+1)
+		for ; i < len(data); i++ {
+			c := data[i] - '0'
+			if c > 9 {
+				break
+			}
+			if nd < maxMantDigits {
+				d.man = d.man*10 + uint64(c)
+				nd++
+			} else {
+				d.exp10++
+				d.trunc = d.trunc || c != 0
+			}
+		}
 	default:
 		s.Pos = i
-		return nil, s.SyntaxError("in numeric literal")
+		return d, s.SyntaxError("in numeric literal")
 	}
 	if i < len(data) && data[i] == '.' {
-		j := digits(data, i+1)
-		if j == i+1 {
-			s.Pos = j
-			return nil, s.SyntaxError("after decimal point in numeric literal")
+		i++
+		frac := i
+		if nd == 0 { // leading zeros only move the point
+			for ; i < len(data) && data[i] == '0'; i++ {
+				d.exp10--
+			}
 		}
-		i = j
+		for ; i < len(data); i++ {
+			c := data[i] - '0'
+			if c > 9 {
+				break
+			}
+			if nd < maxMantDigits {
+				d.man = d.man*10 + uint64(c)
+				nd++
+				d.exp10--
+			} else {
+				d.trunc = d.trunc || c != 0
+			}
+		}
+		if i == frac {
+			s.Pos = i
+			return d, s.SyntaxError("after decimal point in numeric literal")
+		}
 	}
 	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
 		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+		neg := i < len(data) && data[i] == '-'
+		if neg || i < len(data) && data[i] == '+' {
 			i++
 		}
-		j := digits(data, i)
-		if j == i {
-			s.Pos = j
-			return nil, s.SyntaxError("in exponent of numeric literal")
+		digits, e := i, 0
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if e < 10000 { // strconv stops reading the exponent here
+				e = e*10 + int(data[i]-'0')
+			}
 		}
-		i = j
+		if i == digits {
+			s.Pos = i
+			return d, s.SyntaxError("in exponent of numeric literal")
+		}
+		if neg {
+			e = -e
+		}
+		d.exp10 += e
 	}
 	s.Pos = i
-	return data[start:i], nil
+	return d, nil
 }
 
 // AtNumber reports whether a number starts at Pos.
@@ -310,26 +381,30 @@ func (s *Scanner) AtNumber() bool {
 	return c == '-' || '0' <= c && c <= '9'
 }
 
-// digits returns the end of the run of decimal digits at data[i:].
-func digits(data []byte, i int) int {
-	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-		i++
-	}
-	return i
-}
-
 // Float decodes the number at Pos into a float64 as encoding/json does: a
 // value that does not start a number is the wrong type for target, and
-// one out of float64's range is an error.
+// one out of float64's range is an error. It checks the grammar and
+// converts in the same pass over the digits: an exact float64 product or
+// quotient where one exists, else Eisel–Lemire. Only a number with a
+// non-zero digit past its 19th significant one, or one Eisel–Lemire
+// cannot decide (a half-way case, or the subnormal and overflow ranges),
+// is handed to strconv.ParseFloat, which also reports the range errors.
+// FuzzFloat holds it to strconv.ParseFloat on the number's bytes.
 func (s *Scanner) Float(target string) (float64, error) {
 	if !s.AtNumber() {
 		return 0, s.Mismatch(target)
 	}
 	start := s.Pos
-	num, err := s.Number()
+	d, err := s.number()
 	if err != nil {
 		return 0, err
 	}
+	if !d.trunc {
+		if f, ok := float(d.man, d.exp10, d.neg); ok {
+			return f, nil
+		}
+	}
+	num := s.Data[start:s.Pos]
 	f, err := strconv.ParseFloat(string(num), 64)
 	if err != nil {
 		s.Pos = start

@@ -29,7 +29,8 @@ type AdaptConfig struct {
 	// budget routinely overfits (default 10).
 	Patience int
 	// Options are appended to the Adapt call (freeze depth, epoch budget,
-	// target provider, seed).
+	// seed). The service keeps the provider it was built for, so an
+	// adapted model that targets another provider is never swapped in.
 	Options []sizeless.Option
 }
 
@@ -116,6 +117,8 @@ func (s *Server) adaptLoop(ctx context.Context) {
 // dataset, Adapt the serving model with early stopping, and swap it into
 // the service. That one store moves ingest, /v1/recommend, /v1/healthz and
 // later snapshots together, since all of them read the service's model.
+// A model adapted to another provider is refused: the service would price
+// it with the serving provider's prices.
 func (s *Server) adaptOnce(ctx context.Context, cfg AdaptConfig) error {
 	ds, err := cfg.Source(ctx)
 	if err != nil {
@@ -125,6 +128,9 @@ func (s *Server) adaptOnce(ctx context.Context, cfg AdaptConfig) error {
 	adapted, err := s.cfg.Predictor.Serving(s.svc).Adapt(ctx, ds, opts...)
 	if err != nil {
 		return fmt.Errorf("adapt: %w", err)
+	}
+	if target, serving := adapted.Provenance().Target, s.cfg.Predictor.Provider().Name(); target != serving {
+		return fmt.Errorf("adapt: adapted model targets provider %s, the service serves %s; not swapped", target, serving)
 	}
 	if err := adapted.SwapServiceModel(s.svc); err != nil {
 		return fmt.Errorf("swap: %w", err)

@@ -147,3 +147,34 @@ func TestAdaptFailureKeepsServing(t *testing.T) {
 		t.Errorf("health status = %q", health.Status)
 	}
 }
+
+// TestAdaptRefusesProviderChange: the service prices with the provider it
+// was built for, so a model adapted to another provider must not be
+// swapped in to be priced with the wrong prices.
+func TestAdaptRefusesProviderChange(t *testing.T) {
+	srv, _ := startServer(t, Config{
+		Adapt: AdaptConfig{
+			Source:   func(context.Context) (*sizeless.Dataset, error) { return testDS, nil },
+			Interval: time.Hour,
+			Options: []sizeless.Option{
+				sizeless.WithProvider(sizeless.GCPCloudFunctions()),
+				sizeless.WithFineTuneEpochs(2),
+			},
+		},
+	})
+	origFP, err := srv.cfg.Predictor.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.adaptOnce(context.Background(), srv.cfg.Adapt.withDefaults())
+	if err == nil || !strings.Contains(err.Error(), "gcp-cloudfunctions") {
+		t.Fatalf("adaptOnce = %v, want a refused provider change", err)
+	}
+	fp, err := srv.cfg.Predictor.Serving(srv.Service()).Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != origFP || srv.adaptations.Load() != 0 {
+		t.Errorf("serving %s after %d adaptations, want the original %s and none", fp, srv.adaptations.Load(), origFP)
+	}
+}

@@ -92,6 +92,12 @@ var ingestSeeds = []string{
 	`{"windows":{"f":[{"Start":9223372036854775808}]}}`,
 	`{"windows":{"f":[{"Metrics":[1e400]}]}}`,
 	`{"windows":{"f":[{"Metrics":[-0,1e-400,4.9e-324,1.7976931348623157e308]}]}}`,
+	// Numbers the one-pass conversion hands to strconv (a non-zero digit
+	// past the 19th, a subnormal, an exponent past float64's range), and
+	// a long run of leading fraction zeros, which only moves the point.
+	`{"windows":{"f":[{"Metrics":[12345678901234567891,1.00000000000000011102230246251565404236316680908203125]}]}}`,
+	`{"windows":{"f":[{"Metrics":[2.2250738585072011e-308,1e-310,-1e99999999999999999999]}]}}`,
+	`{"windows":{"f":[{"Metrics":[0.` + strings.Repeat("0", 25) + `1,1e-99999999999999999999]}]}}`,
 	`{"windows":{"f":[{"Metrics":[01]}]}}`,
 	`{"windows":{"f":[{"Metrics":[1.]}]}}`,
 	`{"windows":{"f":[{"Metrics":[-]}]}}`,
