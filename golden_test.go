@@ -49,6 +49,8 @@ const (
 	goldenCaseStudySHA  = "ab8f7319731e228968812eb0149b3d0936a6ac3f7e86c8ec64c20c74c25df6bf"
 	goldenSnapshotSHA   = "a65eff474b8b66486b659c2fd27e3b6ffa3390005bbc2d95db1baded8206aef8"
 	goldenScenarioSHA   = "a3d04756f0363f58df8a21f6552424d4246da18692eea0d60d5f2d331f166abe"
+	goldenGridSearchSHA = "168fbaae0c4a16e40a52bc5c887334e8b60928cc17bffb2e717120ed4b695f43"
+	goldenSFSMSE        = 8.244502012292719
 
 	// Early-stopped training and adaptation: every member holds a
 	// validation split out, stops on patience and keeps its best weights.
@@ -422,6 +424,62 @@ func TestGoldenHalvingPerSeed(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenHalvingSHA {
 		t.Errorf("halving scores sha256 = %s, want %s", got, goldenHalvingSHA)
+	}
+}
+
+// TestGoldenGridSearchPerSeed pins the exhaustive Table-2 search on a
+// tiny grid: the ranked configurations and every bit of each CVMetrics
+// field under 3-fold cross-validation.
+func TestGoldenGridSearchPerSeed(t *testing.T) {
+	base := core.DefaultModelConfig(sizeless.MemorySize(256))
+	base.EnsembleSize = 1
+	base.Seed = 11
+	grid := core.GridSpec{
+		Optimizers: []nn.Optimizer{nn.Adam, nn.SGD},
+		Losses:     []nn.Loss{nn.MSE},
+		Epochs:     []int{40},
+		Neurons:    []int{10},
+		L2s:        []float64{0},
+		Layers:     []int{1, 2},
+	}
+	res, err := core.GridSearch(context.Background(), goldenTrainSet(t), base, grid, 3, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, r := range res {
+		m := r.Metrics
+		fmt.Fprintf(h, "%s/%s/%v/%d %x %x %x %x\n", r.Config.Optimizer, r.Config.Loss, r.Config.Hidden, r.Config.Epochs,
+			math.Float64bits(m.MSE), math.Float64bits(m.MAPE), math.Float64bits(m.R2), math.Float64bits(m.ExpVar))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenGridSearchSHA {
+		t.Errorf("GridSearch ranking sha256 = %s, want %s", got, goldenGridSearchSHA)
+	}
+}
+
+// TestGoldenSFSPerSeed pins the MSE the sequential-forward-selection
+// evaluator returns on a seeded matrix; it trains through
+// nn.Network.Train, the entry point the feature-selection study and the
+// ablations use.
+func TestGoldenSFSPerSeed(t *testing.T) {
+	rng := xrand.New(17).Derive("sfs-golden")
+	x := make([][]float64, 36)
+	y := make([][]float64, len(x))
+	for i := range x {
+		x[i] = []float64{rng.Float64(), rng.Uniform(1, 5), rng.NormFloat64()}
+		y[i] = []float64{x[i][0] + 0.5*x[i][1], x[i][1] * x[i][2]}
+	}
+	cfg := core.DefaultModelConfig(sizeless.MemorySize(256))
+	cfg.Hidden = []int{8}
+	cfg.Loss = nn.MSE
+	cfg.Epochs = 20
+	cfg.Seed = 3
+	mse, err := core.SFSEvaluator(context.Background(), cfg, 3, 5)(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mse != goldenSFSMSE {
+		t.Errorf("SFSEvaluator MSE = %v, want %v", mse, goldenSFSMSE)
 	}
 }
 
