@@ -730,73 +730,6 @@ func BenchmarkFleetDrift(b *testing.B) {
 	}
 }
 
-// ---- Adaptive search benchmarks ----
-
-// benchSearchGrid is the 8-configuration selection grid of the search
-// benchmarks (the grid BENCH_search.json records): one axis of variation
-// per Table-2 hyperparameter family around the paper's winner, at a
-// 40-epoch budget (divisible by 4, so the halving schedule lands on whole
-// epochs).
-func benchSearchGrid() core.GridSpec {
-	return core.GridSpec{
-		Optimizers: []nn.Optimizer{nn.Adam, nn.SGD},
-		Losses:     []nn.Loss{nn.MSE, nn.MAPE},
-		Epochs:     []int{40},
-		Neurons:    []int{32},
-		L2s:        []float64{0, 0.01},
-		Layers:     []int{2},
-	}
-}
-
-func benchSearchBase(b *testing.B) (*dataset.Dataset, core.ModelConfig) {
-	l := lab(b)
-	ds, err := l.Dataset(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := core.DefaultModelConfig(platform.Mem256)
-	base.EnsembleSize = 1
-	return ds, base
-}
-
-// BenchmarkGridSearchExhaustive trains every configuration of the search
-// grid to its full budget (successive halving with elimination disabled) —
-// the baseline the BENCH_search.json speedup gate scores against.
-func BenchmarkGridSearchExhaustive(b *testing.B) {
-	ds, base := benchSearchBase(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.GridSearchHalving(ctx, ds, base, benchSearchGrid(),
-			core.HalvingOptions{KeepAll: true, Seed: 9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TotalEpochs != res.ExhaustiveEpochs {
-			b.Fatalf("exhaustive run spent %d epochs, want the full %d", res.TotalEpochs, res.ExhaustiveEpochs)
-		}
-	}
-}
-
-// BenchmarkGridSearchHalving is the candidate of the search gate: the same
-// grid under successive halving (train 1/4 of the budget, keep the best
-// half, double, repeat), which must spend no more than half the epochs.
-func BenchmarkGridSearchHalving(b *testing.B) {
-	ds, base := benchSearchBase(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.GridSearchHalving(ctx, ds, base, benchSearchGrid(),
-			core.HalvingOptions{Seed: 9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if 2*res.TotalEpochs > res.ExhaustiveEpochs {
-			b.Fatalf("halving spent %d epochs, more than half of %d", res.TotalEpochs, res.ExhaustiveEpochs)
-		}
-	}
-}
-
 // ---- Temporal scenario-generation benchmarks ----
 
 // scenarioBenchProfile is the workload shape of the scenario-generation

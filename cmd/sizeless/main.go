@@ -162,7 +162,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if *patience > 0 {
 		opts = append(opts, sizeless.WithEarlyStopping(*patience))
 	}
-	if *valSplit > 0 {
+	if *valSplit != 0 {
 		opts = append(opts, sizeless.WithValidationSplit(*valSplit))
 	}
 	start := time.Now()
@@ -336,7 +336,7 @@ func cmdAdapt(ctx context.Context, args []string) error {
 	if *patience > 0 {
 		opts = append(opts, sizeless.WithEarlyStopping(*patience))
 	}
-	if *valSplit > 0 {
+	if *valSplit != 0 {
 		opts = append(opts, sizeless.WithValidationSplit(*valSplit))
 	}
 

@@ -69,6 +69,14 @@ func TestTrainEvaluateRecommendPipeline(t *testing.T) {
 		"-function", "synthetic-0003", "-t", "NaN"}); err == nil {
 		t.Error("recommend -t NaN should error")
 	}
+	for _, split := range []string{"-0.3", "NaN"} {
+		if err := run(ctx, []string{"train", "-dataset", dsPath, "-valsplit", split, "-out", esPath}); err == nil {
+			t.Errorf("train -valsplit %s should error", split)
+		}
+	}
+	if err := run(ctx, []string{"evaluate", "-dataset", dsPath, "-iterations", "0"}); err == nil {
+		t.Error("evaluate -iterations 0 should error")
+	}
 	// The same model recommends under a different provider's pricing.
 	if err := run(ctx, []string{"recommend", "-model", modelPath, "-dataset", dsPath,
 		"-function", "synthetic-0003", "-provider", "azure-functions"}); err != nil {

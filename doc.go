@@ -140,7 +140,7 @@
 // same model bytes on every platform. See internal/nn's package
 // documentation for the full determinism policy.
 //
-// # Adaptive search
+// # Early stopping
 //
 // Epoch budgets are adaptive, not fixed. WithEarlyStopping(patience) (on
 // TrainPredictor and Predictor.Adapt, with WithValidationSplit sizing the
@@ -150,14 +150,7 @@
 // for, the fixed-budget alternative demonstrably overfits, and the
 // adapted model's Provenance records how many epochs were actually
 // spent. Model selection itself (benchreport's Table-2 experiment) runs
-// the exhaustive core.GridSearch. core.GridSearchHalving, successive
-// halving over the same grid (train 1/4 of the budget, keep the best half
-// by validation MSE, double, repeat), is the candidate of the benchgate's
-// search pair and the subject of the goldenHalving pins: it spends half
-// the epochs of the exhaustive sweep for a winner within tolerance of the
-// exhaustive one, and no program calls it. BENCH_search.json records that
-// trajectory; its description carries the go test -bench command that
-// regenerates it.
+// the paper's exhaustive core.GridSearch.
 //
 // # Static analysis
 //

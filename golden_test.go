@@ -40,9 +40,6 @@ const (
 	goldenStreamColdCnt = 80
 	goldenPredictSHA    = "b6350ad57c158b50159457408910c7f199f525d4578e4c73b9f4ac31523e7d9e"
 	goldenFleetSHA      = "6e6cd3f36a6fd00c1700b114155e81f35dc0de3c6bab40528214bd7e6a29cf82"
-	goldenHalvingWinner = "sgd/mape/[12 12]/16"
-	goldenHalvingValMSE = 2.5805414626949976
-	goldenHalvingSHA    = "ca0f4d4b9916778e0691d55d3264f2afb4c579247b31d93f584ebf663667ebc3"
 	goldenDatasetCSVSHA = "fea5fe8f3021ce96d0b6d57e218a51553e8d796688ff1fbec8defe382bad079d"
 	goldenMotivatingSHA = "4f986b7f0d47ae9c8af5fa0c46311c4893d47952adf45eab6e6d21d5acdf1ac0"
 	goldenAppMatrixSHA  = "c7b07245a0a61723f3a21278d1d806f64e608a2d1a22d0189163487242b85bd1"
@@ -385,45 +382,6 @@ func TestGoldenSnapshotPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex(viaHTTP.Bytes()); got != goldenSnapshotSHA {
 		t.Errorf("snapshot sha256 = %s, want %s", got, goldenSnapshotSHA)
-	}
-}
-
-// TestGoldenHalvingPerSeed pins successive halving's per-seed output on a
-// tiny grid: the winner, its exact validation MSE, and every
-// configuration's final score and elimination round. Scoring runs the
-// ensemble forward pass one validation row at a time.
-func TestGoldenHalvingPerSeed(t *testing.T) {
-	base := core.DefaultModelConfig(sizeless.MemorySize(256))
-	base.EnsembleSize = 2
-	base.Seed = 11
-	grid := core.GridSpec{
-		Optimizers: []nn.Optimizer{nn.Adam, nn.SGD},
-		Losses:     []nn.Loss{nn.MSE, nn.MAPE},
-		Epochs:     []int{16},
-		Neurons:    []int{12},
-		L2s:        []float64{0},
-		Layers:     []int{1, 2},
-	}
-	res, err := core.GridSearchHalving(context.Background(), goldenTrainSet(t), base, grid,
-		core.HalvingOptions{Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := res.Winner()
-	winner := fmt.Sprintf("%s/%s/%v/%d", w.Config.Optimizer, w.Config.Loss, w.Config.Hidden, w.Config.Epochs)
-	if winner != goldenHalvingWinner {
-		t.Errorf("halving winner = %s, want %s", winner, goldenHalvingWinner)
-	}
-	if w.ValMSE != goldenHalvingValMSE {
-		t.Errorf("halving winner ValMSE = %v, want %v", w.ValMSE, goldenHalvingValMSE)
-	}
-	h := sha256.New()
-	for _, s := range res.Scores {
-		fmt.Fprintf(h, "%s/%s/%v %x %d %d\n", s.Config.Optimizer, s.Config.Loss, s.Config.Hidden,
-			math.Float64bits(s.ValMSE), s.EpochsSpent, s.Eliminated)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenHalvingSHA {
-		t.Errorf("halving scores sha256 = %s, want %s", got, goldenHalvingSHA)
 	}
 }
 

@@ -152,12 +152,22 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(context.Background(), ds, cfg); err == nil {
 		t.Error("unmeasured base should error")
 	}
+	cfg = smallConfig(platform.Mem256)
+	cfg.ValidationFraction = math.NaN()
+	if _, err := Train(context.Background(), ds, cfg); err == nil {
+		t.Error("NaN validation fraction should error")
+	}
 }
 
 func TestCrossValidate(t *testing.T) {
 	ds := testDataset(t)
 	cfg := smallConfig(platform.Mem256)
 	cfg.Epochs = 200
+	for _, iterations := range []int{0, -1} {
+		if _, err := CrossValidate(context.Background(), ds, cfg, 4, iterations, 7); err == nil {
+			t.Errorf("%d iterations should error", iterations)
+		}
+	}
 	m, err := CrossValidate(context.Background(), ds, cfg, 4, 1, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -376,5 +386,87 @@ func TestFineTune(t *testing.T) {
 	// Errors.
 	if _, err := FineTune(context.Background(), model, dataset.New(nil), FineTuneOptions{}); err == nil {
 		t.Error("empty fine-tune dataset should error")
+	}
+}
+
+// TestTrainEarlyStoppingIsDeterministic: training and fine-tuning produce
+// the same model bytes for any worker count and ensemble size, on the
+// budget path and on the validation path with and without patience. The
+// worker counts cover one slice per member (workers ≥ members), uneven
+// slices (23 epochs over 2, 3 or 4 workers), and members that stop early
+// in the middle of a slice.
+func TestTrainEarlyStoppingIsDeterministic(t *testing.T) {
+	ds := testDataset(t)
+	adapt := ds.Subset([]int{3, 5, 8, 13, 21, 34, 55, 89})
+	fingerprint := func(m *Model) string {
+		t.Helper()
+		fp, err := m.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	modes := []struct {
+		name               string
+		patience           int
+		validationFraction float64
+	}{
+		{"budget", 0, 0},
+		{"split", 0, 0.25},
+		{"patience", 3, 0},
+	}
+	for _, ensemble := range []int{1, 2, 3, 5} {
+		for _, mode := range modes {
+			var want, wantTuned string
+			var wantProv Provenance
+			for _, workers := range []int{1, 2, 3, 4} {
+				cfg := smallConfig(platform.Mem256)
+				cfg.Hidden = []int{12, 12}
+				cfg.Epochs = 23
+				cfg.EnsembleSize = ensemble
+				cfg.Patience = mode.patience
+				cfg.ValidationFraction = mode.validationFraction
+				cfg.Workers = workers
+				m, err := Train(context.Background(), ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tuned, err := FineTune(context.Background(), m, adapt, FineTuneOptions{
+					Epochs:             29,
+					Patience:           mode.patience,
+					ValidationFraction: mode.validationFraction,
+					Seed:               7,
+					Workers:            workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotTuned, gotProv := fingerprint(m), fingerprint(tuned), tuned.Provenance()
+				if workers == 1 {
+					want, wantTuned, wantProv = got, gotTuned, gotProv
+					continue
+				}
+				if got != want {
+					t.Errorf("ensemble %d, %s: Train with %d workers = %s, with 1 = %s", ensemble, mode.name, workers, got, want)
+				}
+				if gotTuned != wantTuned || gotProv != wantProv {
+					t.Errorf("ensemble %d, %s: FineTune with %d workers = %s %+v, with 1 = %s %+v",
+						ensemble, mode.name, workers, gotTuned, gotProv, wantTuned, wantProv)
+				}
+			}
+			if mode.patience > 0 && !wantProv.EarlyStopped {
+				t.Errorf("ensemble %d: no member stopped early, so the sweep misses early finishes", ensemble)
+			}
+		}
+	}
+}
+
+// TestTrainValidationFractionRejected pins the config guard.
+func TestTrainValidationFractionRejected(t *testing.T) {
+	ds := testDataset(t)
+	cfg := smallConfig(platform.Mem256)
+	cfg.ValidationFraction = 1.2
+	if _, err := Train(context.Background(), ds, cfg); err == nil {
+		t.Error("validation fraction above 1 should be rejected")
 	}
 }

@@ -53,31 +53,19 @@
 //   - gridsearch.go / pdp.go — the Table 2 hyperparameter search and the
 //     Figure 5 partial-dependence analysis.
 //
-//   - halving.go — GridSearchHalving, the benchgate's search-pair
-//     candidate and the subject of the goldenHalving pins; no program
-//     calls it. It is the adaptive alternative to the exhaustive sweep:
-//     successive halving over the Table-2 grid (train
-//     1/4 of each configuration's epoch budget, keep the best half by
-//     validation MSE, double the budget, repeat). Survivors train
-//     incrementally on the engine's persistent shuffle stream, so the
-//     search spends half the exhaustive epochs while the final round
-//     scores configurations exactly as continuous full-budget training
-//     would — with elimination disabled (KeepAll) it reproduces the
-//     exhaustive ranking bit-for-bit.
+// # Early stopping
 //
-// # Adaptive search
-//
-// Train, CrossValidate, FineTune, and GridSearchHalving all understand
-// validation-split early stopping: ModelConfig.{ValidationFraction,
-// Patience} (FineTuneOptions carries the same pair) hold rows out, score
-// them after every epoch through the validation hook of nn.Session (the
-// loop behind nn.TrainWithValidation), and return the
-// best-validation weights rather than the last epoch's. FineTune records
-// the epochs actually spent (and whether patience cut the budget) in the
-// adapted model's Provenance — on tiny adaptation corpora the fixed
-// 100-epoch convention demonstrably overfits, and a patience of ~10
-// recovers the held-out accuracy (see the diagonal-overfit regression
-// test in the public package).
+// Train, CrossValidate and FineTune all understand validation-split early
+// stopping: ModelConfig.{ValidationFraction, Patience} (FineTuneOptions
+// carries the same pair) hold rows out, score them after every epoch
+// through the validation split of an nn.Session (the one epoch loop
+// behind nn.Network.Train), and return the best-validation weights
+// rather than the last epoch's. FineTune records the epochs actually
+// spent (and whether patience cut the budget) in the adapted model's
+// Provenance — on tiny adaptation corpora the fixed 100-epoch convention
+// demonstrably overfits, and a patience of ~10 recovers the held-out
+// accuracy (see the diagonal-overfit regression test in the public
+// package).
 //
 // Everything here is provider-agnostic: the model predicts execution-time
 // ratios for whatever memory grid it was trained on, and the caller attaches

@@ -24,11 +24,12 @@ type CVMetrics struct {
 
 // CrossValidate runs `iterations` independent rounds of k-fold
 // cross-validation with random splits (the paper uses ten iterations of
-// five-fold CV, §3.4) and returns pooled metrics.
+// five-fold CV, §3.4) and returns pooled metrics. It needs at least one
+// iteration.
 func CrossValidate(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig, k, iterations int, seed int64) (CVMetrics, error) {
 	cfg = cfg.withDefaults()
-	if iterations <= 0 {
-		iterations = 1
+	if iterations < 1 {
+		return CVMetrics{}, fmt.Errorf("core: %d cross-validation iterations, want at least 1", iterations)
 	}
 	// Folds are independent experiments; run them through the shared
 	// worker pool (bounded by cfg.Workers) and merge in fold order so the

@@ -91,7 +91,7 @@ func FineTune(ctx context.Context, m *Model, ds *dataset.Dataset, opts FineTuneO
 	if opts.Epochs <= 0 {
 		opts.Epochs = 100
 	}
-	if opts.ValidationFraction < 0 || opts.ValidationFraction >= 1 {
+	if f := opts.ValidationFraction; !(f >= 0 && f < 1) {
 		return nil, fmt.Errorf("core: fine-tune: validation fraction %v outside [0, 1)", opts.ValidationFraction)
 	}
 

@@ -3,11 +3,36 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sizeless/internal/platform"
 )
+
+// countdownCtx trips its Err after a fixed number of polls — deterministic
+// mid-flight cancellation (the engine polls once per epoch, the pool once
+// per job or slice). It is safe for concurrent workers and counts every
+// poll.
+type countdownCtx struct {
+	context.Context
+	remaining, polls atomic.Int64
+}
+
+func newCountdownCtx(polls int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.remaining.Store(polls)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	c.polls.Add(1)
+	if c.remaining.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
 
 // tunedBase trains a small source model for the fine-tune edge cases.
 func tunedBase(t *testing.T) *Model {
@@ -72,6 +97,12 @@ func TestFineTuneTinyDatasets(t *testing.T) {
 	empty := ds.Subset(nil)
 	if _, err := FineTune(context.Background(), model, empty, FineTuneOptions{Epochs: 5}); err == nil {
 		t.Error("empty adaptation dataset should error")
+	}
+	// So is a validation fraction outside [0, 1), NaN included.
+	for _, frac := range []float64{math.NaN(), -0.1, 1} {
+		if _, err := FineTune(context.Background(), model, ds, FineTuneOptions{Epochs: 5, ValidationFraction: frac}); err == nil {
+			t.Errorf("validation fraction %v should error", frac)
+		}
 	}
 
 	// A single row is degenerate but legal: the optimizer just overfits it.

@@ -74,14 +74,12 @@ func (g GridSpec) Configs(base ModelConfig) []ModelConfig {
 
 // GridSearch evaluates every configuration in the grid with k-fold CV and
 // returns the results sorted by ascending MSE (best first) — the paper's
-// exhaustive Table-2 sweep and the model selection the Table-2
-// experiment runs. GridSearchHalving finds the same quality of winner for
-// about half the epoch budget, but only as the benchgate's search-pair
-// candidate and the subject of the goldenHalving pins. Configurations
-// run concurrently through the shared worker pool, bounded by base.Workers
-// (0 = GOMAXPROCS); every configuration reuses the same CV seed, so the
-// ranking is identical for any worker count. Cancelling ctx abandons
-// unstarted configurations and returns the context's error.
+// exhaustive Table-2 sweep and the one model-selection path, which the
+// Table-2 experiment runs. Configurations run concurrently through the
+// shared worker pool, bounded by base.Workers (0 = GOMAXPROCS); every
+// configuration reuses the same CV seed, so the ranking is identical for
+// any worker count. Cancelling ctx abandons unstarted configurations and
+// returns the context's error.
 func GridSearch(ctx context.Context, ds *dataset.Dataset, base ModelConfig, grid GridSpec, k int, seed int64) ([]GridResult, error) {
 	if grid.Size() == 0 {
 		return nil, errors.New("core: empty hyperparameter grid")

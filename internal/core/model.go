@@ -268,7 +268,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig) (*Model, e
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	if cfg.ValidationFraction < 0 || cfg.ValidationFraction >= 1 {
+	if f := cfg.ValidationFraction; !(f >= 0 && f < 1) {
 		return nil, fmt.Errorf("core: validation fraction %v outside [0, 1)", cfg.ValidationFraction)
 	}
 
@@ -277,7 +277,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig) (*Model, e
 	// is reproducible) and keeps its best-validation weights. The split is
 	// taken on the raw rows and the scaler fitted on the training rows
 	// only, so validation scores never leak through the standardization
-	// statistics (and match how GridSearchHalving fits its scaler).
+	// statistics.
 	trXraw, trY, vaXraw, vaY := validationSplit(x, y, cfg.ValidationFraction, cfg.Seed)
 	scaler, err := nn.FitScaler(trXraw)
 	if err != nil {

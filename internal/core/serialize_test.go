@@ -389,7 +389,11 @@ func TestSaveRejectsNonFinite(t *testing.T) {
 			x := [][]float64{make([]float64, len(m.scaler.Mean))}
 			y := [][]float64{make([]float64, len(m.targets))}
 			y[0][0] = math.NaN()
-			_, err := m.nets[0].TrainEpochs(context.Background(), x, y, 1)
+			s, err := m.nets[0].NewSession(x, y, 1, nn.Validation{})
+			if err != nil {
+				return err
+			}
+			_, err = s.Train(context.Background(), 1, nil)
 			return err
 		},
 	}

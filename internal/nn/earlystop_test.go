@@ -12,6 +12,44 @@ import (
 // xrandNew keeps the noisy-data helper readable.
 func xrandNew(seed int64) *xrand.Stream { return xrand.New(seed).Derive("noise") }
 
+// runSession trains net through one session that runs its whole epoch
+// budget in a single slice, and returns the session's stats.
+func runSession(ctx context.Context, net *Network, x, y [][]float64, epochs int, v Validation) (TrainStats, error) {
+	s, err := net.NewSession(x, y, epochs, v)
+	if err != nil {
+		return TrainStats{}, err
+	}
+	_, err = s.Train(ctx, epochs, nil)
+	return s.Stats(), err
+}
+
+// valTrajectory returns the validation loss after each of the first
+// epochs epochs of a network built from cfg. The twin trains without a
+// split, one epoch per session slice, and is scored with evalLoss after
+// each slice: validation only reads the weights, so a validated run of
+// the same config follows the same trajectory until it restores its best.
+func valTrajectory(t *testing.T, cfg Config, trX, trY, vaX, vaY [][]float64, epochs int) []float64 {
+	t.Helper()
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := twin.NewSession(trX, trY, epochs, Validation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := make([]float64, epochs)
+	for e := range losses {
+		if _, err := s.Train(context.Background(), 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if losses[e], err = evalLoss(twin, vaX, vaY); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return losses
+}
+
 // splitVal carves the tail of (x, y) off as a validation split.
 func splitVal(x, y [][]float64, nVal int) (trX, trY, vaX, vaY [][]float64) {
 	cut := len(x) - nVal
@@ -26,29 +64,20 @@ func TestBestValidationModelIsExactMinimum(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 91} {
 		x, y := makeLinearData(120, 4, 2, seed)
 		trX, trY, vaX, vaY := splitVal(x, y, 30)
-		net, err := New(Config{
+		cfg := Config{
 			Inputs: 4, Outputs: 2, Hidden: []int{12},
 			Optimizer: Adam, Epochs: 60, Seed: seed,
-		})
+		}
+		net, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var observed []float64
-		best := math.Inf(1)
-		st, err := net.TrainWithValidation(context.Background(), trX, trY, 60, Validation{
-			X: vaX, Y: vaY,
-			Observer: func(epoch int, trainLoss, valLoss float64) {
-				observed = append(observed, valLoss)
-			},
-		}, nil)
+		st, err := runSession(context.Background(), net, trX, trY, 60, Validation{X: vaX, Y: vaY})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(observed) != st.EpochsRun {
-			t.Fatalf("seed %d: observer saw %d epochs, stats report %d", seed, len(observed), st.EpochsRun)
-		}
-		bestEpoch := 0
-		for i, v := range observed {
+		best, bestEpoch := math.Inf(1), 0
+		for i, v := range valTrajectory(t, cfg, trX, trY, vaX, vaY, st.EpochsRun) {
 			if v < best {
 				best = v
 				bestEpoch = i + 1
@@ -94,22 +123,15 @@ func TestEarlyStoppingStopsWithinPatience(t *testing.T) {
 	trX, trY, vaX, vaY := splitVal(x, y, 40)
 	// The raised learning rate converges in tens of epochs and then
 	// oscillates around the noise floor — the regime early stopping cuts.
-	net, err := New(Config{Inputs: 3, Outputs: 1, Hidden: []int{16}, Epochs: 500, Seed: 11, LearningRate: 0.02})
+	cfg := Config{Inputs: 3, Outputs: 1, Hidden: []int{16}, Epochs: 500, Seed: 11, LearningRate: 0.02}
+	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const patience = 5
-	var lastImprove int
-	best := math.Inf(1)
-	st, err := net.TrainWithValidation(context.Background(), trX, trY, 500, Validation{
+	st, err := runSession(context.Background(), net, trX, trY, 500, Validation{
 		X: vaX, Y: vaY, Patience: patience,
-		Observer: func(epoch int, trainLoss, valLoss float64) {
-			if valLoss < best {
-				best = valLoss
-				lastImprove = epoch
-			}
-		},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +141,22 @@ func TestEarlyStoppingStopsWithinPatience(t *testing.T) {
 	if st.EpochsRun >= 500 {
 		t.Errorf("EpochsRun = %d, want < budget", st.EpochsRun)
 	}
+	var lastImprove int
+	best := math.Inf(1)
+	for i, v := range valTrajectory(t, cfg, trX, trY, vaX, vaY, st.EpochsRun) {
+		if v < best {
+			best = v
+			lastImprove = i + 1
+		}
+	}
 	if st.EpochsRun != lastImprove+patience {
 		t.Errorf("stopped at epoch %d, want last improvement %d + patience %d",
 			st.EpochsRun, lastImprove, patience)
+	}
+	// Patience epochs passed since the best one, so the network must have
+	// gone back to the best epoch's weights.
+	if got, err := evalLoss(net, vaX, vaY); err != nil || got != best || st.ValLoss != best {
+		t.Errorf("validation loss after the stop = %v (%v), ValLoss %v, want the best %v", got, err, st.ValLoss, best)
 	}
 }
 
@@ -134,7 +169,7 @@ func TestValidationWithoutPatienceRunsFullBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := net.TrainWithValidation(context.Background(), trX, trY, 40, Validation{X: vaX, Y: vaY}, nil)
+	st, err := runSession(context.Background(), net, trX, trY, 40, Validation{X: vaX, Y: vaY})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,43 +181,6 @@ func TestValidationWithoutPatienceRunsFullBudget(t *testing.T) {
 	}
 }
 
-// TestStagedTrainingMatchesContinuous asserts the persistent shuffle
-// stream property: training in segments (the successive-halving schedule)
-// produces bit-identical weights to one continuous run of the same total
-// epochs.
-func TestStagedTrainingMatchesContinuous(t *testing.T) {
-	x, y := makeLinearData(90, 4, 2, 31)
-	cfg := Config{Inputs: 4, Outputs: 2, Hidden: []int{14, 14}, Optimizer: Adam, Epochs: 40, Seed: 13}
-	continuous, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := continuous.TrainWith(context.Background(), x, y, 40, nil); err != nil {
-		t.Fatal(err)
-	}
-	staged, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, segment := range []int{10, 10, 20} {
-		if _, err := staged.TrainWith(context.Background(), x, y, segment, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for li := range continuous.layers {
-		for i := range continuous.layers[li].w {
-			if continuous.layers[li].w[i] != staged.layers[li].w[i] {
-				t.Fatalf("staged training diverged at layer %d weight %d", li, i)
-			}
-		}
-		for o := range continuous.layers[li].b {
-			if continuous.layers[li].b[o] != staged.layers[li].b[o] {
-				t.Fatalf("staged training diverged at layer %d bias %d", li, o)
-			}
-		}
-	}
-}
-
 // TestValidationErrors covers shape validation of the validation split.
 func TestValidationErrors(t *testing.T) {
 	x, y := makeLinearData(20, 2, 1, 1)
@@ -190,17 +188,17 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.TrainWithValidation(context.Background(), x, y, 0, Validation{}, nil); err == nil {
+	if _, err := net.NewSession(x, y, 0, Validation{}); err == nil {
 		t.Error("zero epochs should error")
 	}
-	if _, err := net.TrainWithValidation(context.Background(), x, y, 1, Validation{
+	if _, err := net.NewSession(x, y, 1, Validation{
 		X: [][]float64{{1, 2}}, Y: [][]float64{{1}, {2}},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Error("mismatched validation lengths should error")
 	}
-	if _, err := net.TrainWithValidation(context.Background(), x, y, 1, Validation{
+	if _, err := net.NewSession(x, y, 1, Validation{
 		X: [][]float64{{1}}, Y: [][]float64{{1}},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Error("wrong validation feature width should error")
 	}
 }
@@ -219,7 +217,7 @@ func TestCancelMidEarlyStopKeepsEpochBoundaryState(t *testing.T) {
 	}
 	const completed = 6
 	ctx := &countdownCtx{Context: context.Background(), remaining: completed}
-	if _, err := net.TrainWithValidation(ctx, trX, trY, 50, Validation{X: vaX, Y: vaY, Patience: 3}, nil); err == nil {
+	if _, err := runSession(ctx, net, trX, trY, 50, Validation{X: vaX, Y: vaY, Patience: 3}); err == nil {
 		t.Fatal("cancelled validated training should return the context error")
 	}
 	// Usable, and exactly at the last completed epoch boundary: the
@@ -232,7 +230,7 @@ func TestCancelMidEarlyStopKeepsEpochBoundaryState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.TrainWith(context.Background(), trX, trY, completed, nil); err != nil {
+	if _, err := runSession(context.Background(), ref, trX, trY, completed, Validation{}); err != nil {
 		t.Fatal(err)
 	}
 	for li := range net.layers {
@@ -261,9 +259,9 @@ func TestFrozenLayersSurviveBestRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozenBefore := append([]float64(nil), net.layers[0].w...)
-	st, err := net.TrainWithValidation(context.Background(), trX, trY, 100, Validation{
+	st, err := runSession(context.Background(), net, trX, trY, 100, Validation{
 		X: vaX, Y: vaY, Patience: 5,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,48 +282,56 @@ func TestFrozenLayersSurviveBestRestore(t *testing.T) {
 	}
 }
 
-// TestSessionSlicesMatchOneCall: a validated session advanced in uneven
-// slices, and resumed after a cancellation in the middle of one, trains
-// exactly what one TrainWithValidation call trains, bit for bit, whether
-// patience stops it or the budget runs out.
+// TestSessionSlicesMatchOneCall: a session advanced in uneven slices, and
+// resumed after a cancellation in the middle of one, trains exactly what
+// one call over the whole budget trains, bit for bit: without a
+// validation split (the persistent shuffle stream and optimizer moments
+// carry over between slices), and with one, whether patience stops it or
+// the budget runs out.
 func TestSessionSlicesMatchOneCall(t *testing.T) {
 	x, y := makeNoisyData(70, 3, 1, 0.3, 5)
 	trX, trY, vaX, vaY := splitVal(x, y, 40)
 	cfg := Config{Inputs: 3, Outputs: 1, Hidden: []int{16}, Epochs: 500, Seed: 11, LearningRate: 0.02}
 	const budget = 120
-	for _, patience := range []int{0, 5} {
-		v := Validation{X: vaX, Y: vaY, Patience: patience}
+	for _, c := range []struct {
+		name string
+		v    Validation
+	}{
+		{"no split", Validation{}},
+		{"split", Validation{X: vaX, Y: vaY}},
+		{"patience", Validation{X: vaX, Y: vaY, Patience: 5}},
+	} {
 		want, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSt, err := want.TrainWithValidation(context.Background(), trX, trY, budget, v, nil)
+		wantSt, err := runSession(context.Background(), want, trX, trY, budget, c.v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stopped := patience > 0; wantSt.EarlyStopped != stopped || wantSt.EpochsRun < 20 {
-			t.Fatalf("patience %d: the reference run stopped early %v after %d epochs; the test needs %v after 20 or more",
-				patience, wantSt.EarlyStopped, wantSt.EpochsRun, stopped)
+		if stopped := c.v.Patience > 0; wantSt.EarlyStopped != stopped || wantSt.EpochsRun < 20 {
+			t.Fatalf("%s: the reference run stopped early %v after %d epochs; the test needs %v after 20 or more",
+				c.name, wantSt.EarlyStopped, wantSt.EpochsRun, stopped)
 		}
 
 		got, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := got.NewSession(trX, trY, budget, v)
+		s, err := got.NewSession(trX, trY, budget, c.v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := &TrainScratch{}
 		if done, err := s.Train(context.Background(), 7, ts); done || err != nil {
-			t.Fatalf("patience %d: first slice finished=%v err=%v", patience, done, err)
+			t.Fatalf("%s: first slice finished=%v err=%v", c.name, done, err)
 		}
 		cancelled := &countdownCtx{Context: context.Background(), remaining: 3}
 		if _, err := s.Train(cancelled, 10, nil); !errors.Is(err, context.Canceled) {
-			t.Fatalf("patience %d: cancelled slice returned %v", patience, err)
+			t.Fatalf("%s: cancelled slice returned %v", c.name, err)
 		}
 		if st := s.Stats(); st.EpochsRun != 10 {
-			t.Fatalf("patience %d: %d epochs after the cancelled slice, want 10", patience, st.EpochsRun)
+			t.Fatalf("%s: %d epochs after the cancelled slice, want 10", c.name, st.EpochsRun)
 		}
 		for done := false; !done; {
 			if done, err = s.Train(context.Background(), 13, ts); err != nil {
@@ -333,17 +339,22 @@ func TestSessionSlicesMatchOneCall(t *testing.T) {
 			}
 		}
 		if st := s.Stats(); st != wantSt {
-			t.Errorf("patience %d: sliced stats %+v, one call %+v", patience, st, wantSt)
+			t.Errorf("%s: sliced stats %+v, one call %+v", c.name, st, wantSt)
 		}
 		for li := range got.layers {
 			for i := range got.layers[li].w {
 				if got.layers[li].w[i] != want.layers[li].w[i] {
-					t.Fatalf("patience %d: sliced run differs at layer %d weight %d", patience, li, i)
+					t.Fatalf("%s: sliced run differs at layer %d weight %d", c.name, li, i)
+				}
+			}
+			for o := range got.layers[li].b {
+				if got.layers[li].b[o] != want.layers[li].b[o] {
+					t.Fatalf("%s: sliced run differs at layer %d bias %d", c.name, li, o)
 				}
 			}
 		}
 		if done, err := s.Train(context.Background(), 5, nil); !done || err != nil || s.Stats() != wantSt {
-			t.Errorf("patience %d: a finished session trained again (done=%v err=%v)", patience, done, err)
+			t.Errorf("%s: a finished session trained again (done=%v err=%v)", c.name, done, err)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // Ownership rules: a TrainScratch must not be shared across goroutines
 // (each concurrent trainer takes its own, typically from the internal
-// sync.Pool behind Train/TrainEpochs); it may be reused freely across
+// sync.Pool that a nil scratch borrows from); it may be reused freely across
 // sequential Train calls on networks of any shape; the zero value is
 // ready to use. Its contents are unspecified between calls.
 type TrainScratch struct {
@@ -67,28 +67,25 @@ func growMatrix(buf [][]float64, n int) [][]float64 {
 // arithmetic state.
 var trainScratchPool = sync.Pool{New: func() any { return &TrainScratch{} }}
 
-// Train fits the network to (X, Y) and returns the mean training loss of
-// the final epoch. Cancelling ctx stops training at the next epoch
-// boundary and returns the context's error; the network remains usable
-// (it keeps the weights of the last completed epoch).
+// Train fits the network to (X, Y) for its configured epoch budget and
+// returns the mean training loss of the final epoch. Cancelling ctx stops
+// training at the next epoch boundary and returns the context's error;
+// the network remains usable (it keeps the weights of the last completed
+// epoch).
 func (n *Network) Train(ctx context.Context, x, y [][]float64) (float64, error) {
-	return n.TrainWith(ctx, x, y, n.cfg.Epochs, nil)
-}
-
-// TrainWith is Train with an explicit epoch budget and caller-owned
-// scratch (nil borrows from the internal pool). It does not reset
-// optimizer state, so it composes into staged schedules like TrainEpochs.
-func (n *Network) TrainWith(ctx context.Context, x, y [][]float64, epochs int, ts *TrainScratch) (float64, error) {
-	st, err := n.TrainWithValidation(ctx, x, y, epochs, Validation{}, ts)
-	return st.TrainLoss, err
+	s, err := n.NewSession(x, y, n.cfg.Epochs, Validation{})
+	if err != nil {
+		return 0, err
+	}
+	_, err = s.Train(ctx, n.cfg.Epochs, nil)
+	return s.st.TrainLoss, err
 }
 
 // shuffleStream returns the network's epoch-shuffle stream, derived from
 // the seed on first use and persisted across training calls. The
-// persistence is what makes staged training (TrainWith in segments) draw
-// the exact permutation sequence of one continuous run — the property the
-// successive-halving search relies on to make "keep-all halving" identical
-// to exhaustive full-budget training.
+// persistence is what makes a session advanced in slices (pool.RunSlices
+// in core.Train and core.FineTune) draw the exact permutation sequence of
+// one continuous run, so the slicing never changes a trained bit.
 func (n *Network) shuffleStream() *xrand.Stream {
 	if n.shuffle == nil {
 		n.shuffle = xrand.New(n.cfg.Seed).Derive("nn-shuffle")

@@ -44,10 +44,10 @@ func benchConfig(seed int64) Config {
 }
 
 // BenchmarkTrainEpoch measures one mini-batch GEMM training epoch of the
-// paper-final network shape on a 200-row dataset. Construction and
-// optimizer-state allocation happen off the clock: the reported ns/op and
-// allocs/op are pure steady-state epoch cost, the quantity every epoch of
-// every consumer pays.
+// paper-final network shape on a 200-row dataset. Construction, session
+// setup and optimizer-state allocation happen off the clock: the reported
+// ns/op and allocs/op are pure steady-state epoch cost, the quantity every
+// epoch of every consumer pays.
 func BenchmarkTrainEpoch(b *testing.B) {
 	x, y := benchTrainData()
 	ts := &TrainScratch{}
@@ -61,8 +61,12 @@ func BenchmarkTrainEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 		net.ensureOptState()
+		s, err := net.NewSession(x, y, 1, Validation{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
-		if _, err := net.TrainWith(ctx, x, y, 1, ts); err != nil {
+		if _, err := s.Train(ctx, 1, ts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +107,11 @@ func BenchmarkFineTuneEpochs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.TrainEpochs(context.Background(), x, y, 10); err != nil {
+		s, err := net.NewSession(x, y, 10, Validation{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Train(context.Background(), 10, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // SetFrozenLayers freezes the first k layers: their weights and biases stop
 // receiving optimizer updates while gradients still flow through them to
@@ -17,16 +14,6 @@ func (n *Network) SetFrozenLayers(k int) error {
 	}
 	n.frozen = k
 	return nil
-}
-
-// TrainEpochs continues training from the current weights for the given
-// number of epochs (respecting frozen layers) and returns the mean training
-// loss of the final epoch. Unlike Train, it does not reset any state — call
-// it repeatedly for staged training schedules. Frozen layers skip backward
-// compute entirely, so a mostly frozen fine-tune costs a fraction of a full
-// backward pass.
-func (n *Network) TrainEpochs(ctx context.Context, x, y [][]float64, epochs int) (float64, error) {
-	return n.TrainWith(ctx, x, y, epochs, nil)
 }
 
 // LayerCount returns the number of trainable layers (hidden + output).

@@ -45,7 +45,7 @@ func TestFrozenLayersDoNotUpdate(t *testing.T) {
 	frozenBefore := append([]float64(nil), net.layers[0].w...)
 	trainableBefore := append([]float64(nil), net.layers[2].w...)
 
-	if _, err := net.TrainEpochs(context.Background(), x, y, 10); err != nil {
+	if _, err := runSession(context.Background(), net, x, y, 10, Validation{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,6 +66,8 @@ func TestFrozenLayersDoNotUpdate(t *testing.T) {
 	}
 }
 
+// TestTrainEpochsContinues: a session on a trained network continues from
+// its weights, with its own epoch budget; the configured budget stays.
 func TestTrainEpochsContinues(t *testing.T) {
 	x, y := makeLinearData(150, 3, 1, 22)
 	net, err := New(Config{Inputs: 3, Outputs: 1, Hidden: []int{16}, Epochs: 10, Seed: 8})
@@ -76,18 +78,17 @@ func TestTrainEpochsContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := net.TrainEpochs(context.Background(), x, y, 100)
+	st, err := runSession(context.Background(), net, x, y, 100, Validation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second >= first {
+	if second := st.TrainLoss; second >= first {
 		t.Errorf("continued training should reduce loss: %v -> %v", first, second)
 	}
-	// Epochs config is restored.
 	if net.Config().Epochs != 10 {
-		t.Errorf("TrainEpochs should not mutate config epochs: %d", net.Config().Epochs)
+		t.Errorf("a session budget should not mutate config epochs: %d", net.Config().Epochs)
 	}
-	if _, err := net.TrainEpochs(context.Background(), x, y, 0); err == nil {
+	if _, err := net.NewSession(x, y, 0, Validation{}); err == nil {
 		t.Error("zero epochs should error")
 	}
 }
@@ -125,7 +126,7 @@ func TestDropOptimizerStateKeepsModel(t *testing.T) {
 			t.Errorf("layer %d still holds optimizer moments", li)
 		}
 	}
-	if _, err := net.TrainEpochs(context.Background(), x, y, 2); err != nil {
+	if _, err := runSession(context.Background(), net, x, y, 2, Validation{}); err != nil {
 		t.Fatal(err)
 	}
 	if net.step == 0 || net.layers[0].mW == nil {

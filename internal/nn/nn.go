@@ -20,21 +20,18 @@
 // update. See engine.go for the kernels and TrainScratch for the buffer
 // ownership rules.
 //
-// Train, TrainWith and TrainWithValidation all run one epoch loop, a
-// Session: a resumable training run that keeps its budget, stats and
-// early-stopping state between slices of epochs, so a scheduler can
-// interleave many networks' training on a few workers (one TrainScratch
-// per worker) without changing a bit of any network. TrainWithValidation
-// adds a per-epoch validation hook on top of the same loop: a held-out
-// split is scored after every epoch (allocation-free, via the scratch),
-// the best weights seen are snapshotted, and training stops after a
-// configurable patience — the returned network is the best-validation
-// model, not the last-epoch one. The epoch-shuffle stream
-// persists across training calls, so staged plain-training schedules
-// (TrainWith segments, TrainEpochs, the successive-halving search in
-// internal/core) reproduce a continuous run bit-for-bit; a validated run's
-// best-weights restore ends that equivalence, so it belongs at the end of
-// a schedule.
+// Training has two doors onto one epoch loop. Network.Train runs the
+// configured epoch budget in one call. NewSession returns a Session: a
+// resumable run that keeps its budget, stats and early-stopping state
+// between slices of epochs, so a scheduler can interleave many networks'
+// training on a few workers (one TrainScratch per worker) without
+// changing a bit of any network. A session with a validation split scores
+// it after every epoch (allocation-free, via the scratch), snapshots the
+// best weights seen, and stops after a configurable patience; the network
+// it finishes with is the best-validation model, not the last-epoch one.
+// The optimizer moments and the epoch-shuffle stream live in the network,
+// so a budget trained in any number of session slices reproduces one
+// continuous call bit-for-bit.
 //
 // # Determinism policy
 //
@@ -186,8 +183,8 @@ func (d *dense) init(rng *xrand.Stream) {
 func (d *dense) row(o int) []float64 { return d.w[o*d.in : (o+1)*d.in] }
 
 // ensureOptState allocates the moment buffers the optimizer needs. Called
-// at the start of training; repeated calls are no-ops so staged training
-// (TrainEpochs) keeps its accumulated statistics.
+// at the start of every session slice; repeated calls are no-ops so a
+// sliced session keeps its accumulated statistics.
 func (n *Network) ensureOptState() {
 	for _, d := range n.layers {
 		switch n.cfg.Optimizer {
@@ -225,10 +222,10 @@ type Network struct {
 	step   int // Adam timestep
 	frozen int // first `frozen` layers receive no updates
 	// shuffle is the epoch-shuffle stream, created lazily from the seed on
-	// the first training call and persisted across calls so staged
-	// training (TrainWith segments, TrainEpochs) consumes the exact
-	// permutation sequence of one continuous run. Not serialized: a loaded
-	// network starts a fresh stream, as before.
+	// the first training slice and persisted across slices so a session
+	// advanced in slices consumes the exact permutation sequence of one
+	// continuous run. Not serialized: a loaded network starts a fresh
+	// stream, as before.
 	shuffle *xrand.Stream
 }
 

@@ -389,7 +389,7 @@ func TestFrozenLayersUntouched(t *testing.T) {
 			vW: append([]float64(nil), l.vW...),
 		}
 	}
-	if _, err := net.TrainEpochs(context.Background(), x, y, 10); err != nil {
+	if _, err := runSession(context.Background(), net, x, y, 10, Validation{}); err != nil {
 		t.Fatal(err)
 	}
 	for li := 0; li < freeze; li++ {
@@ -459,7 +459,7 @@ func TestCancelMidTrainingLeavesNetworkUsable(t *testing.T) {
 		t.Fatalf("predict after cancellation: %v", err)
 	}
 	// …and for continued training.
-	if _, err := net.TrainEpochs(context.Background(), x, y, 3); err != nil {
+	if _, err := runSession(context.Background(), net, x, y, 3, Validation{}); err != nil {
 		t.Fatalf("continued training after cancellation: %v", err)
 	}
 	// The cancelled run stopped exactly at an epoch boundary: its weights
@@ -474,7 +474,7 @@ func TestCancelMidTrainingLeavesNetworkUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net3.TrainWith(context.Background(), x, y, completed, nil); err != nil {
+	if _, err := runSession(context.Background(), net3, x, y, completed, Validation{}); err != nil {
 		t.Fatal(err)
 	}
 	for li := range net2.layers {
@@ -544,22 +544,21 @@ func TestTrainZeroSteadyStateAllocs(t *testing.T) {
 	}
 	ts := &TrainScratch{}
 	ctx := context.Background()
-	if _, err := net.TrainWith(ctx, x, y, 1, ts); err != nil {
-		t.Fatal(err) // warm-up: grows scratch and optimizer state
+	train := func(epochs int) {
+		s, err := net.NewSession(x, y, epochs, Validation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Train(ctx, epochs, ts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Each call pays a fixed setup cost (the derived shuffle stream); the
-	// epochs themselves must add nothing, so a 1-epoch and an 11-epoch
-	// call allocate the same.
-	oneEpoch := testing.AllocsPerRun(5, func() {
-		if _, err := net.TrainWith(ctx, x, y, 1, ts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	elevenEpochs := testing.AllocsPerRun(5, func() {
-		if _, err := net.TrainWith(ctx, x, y, 11, ts); err != nil {
-			t.Fatal(err)
-		}
-	})
+	train(1) // warm-up: grows scratch and optimizer state
+	// Each call pays a fixed setup cost (the session); the epochs
+	// themselves must add nothing, so a 1-epoch and an 11-epoch call
+	// allocate the same.
+	oneEpoch := testing.AllocsPerRun(5, func() { train(1) })
+	elevenEpochs := testing.AllocsPerRun(5, func() { train(11) })
 	if elevenEpochs > oneEpoch+1 {
 		t.Errorf("10 extra epochs allocated %v extra times, want 0", elevenEpochs-oneEpoch)
 	}

@@ -35,8 +35,8 @@ func TestLoadLegacyNestedWeightFile(t *testing.T) {
 		t.Errorf("legacy model predicts %v, want %v", got[0], want)
 	}
 	// A loaded legacy model must remain trainable on the new engine.
-	if _, err := net.TrainEpochs(context.Background(), [][]float64{{1, 1}, {2, 0}, {0, 3}, {1, 2}},
-		[][]float64{{1}, {2}, {3}, {4}}, 3); err != nil {
+	if _, err := runSession(context.Background(), net, [][]float64{{1, 1}, {2, 0}, {0, 3}, {1, 2}},
+		[][]float64{{1}, {2}, {3}, {4}}, 3, Validation{}); err != nil {
 		t.Fatalf("legacy model cannot continue training: %v", err)
 	}
 }

@@ -7,11 +7,46 @@ import (
 	"math"
 )
 
-// Session is one network's resumable training run: the single epoch loop
-// behind Train, TrainWith and TrainWithValidation, advanced in slices of
-// epochs. It carries what must survive between slices: the epochs left in
-// the budget, the TrainStats so far and, with a validation split, the best
-// validation loss, the stagnant-epoch count and the best-weight snapshot.
+// Validation configures a session's per-epoch validation: a held-out
+// split scored after every epoch, with best-weights tracking and optional
+// patience-based early stopping.
+type Validation struct {
+	// X, Y are the held-out validation samples. Empty X disables
+	// validation: the session trains its budget and keeps the last
+	// epoch's weights.
+	X, Y [][]float64
+	// Patience stops training after this many consecutive epochs without
+	// a strict improvement of the best validation loss. Zero (or negative)
+	// never stops early: the full epoch budget runs, but the network still
+	// ends with the best-validation weights.
+	Patience int
+}
+
+// TrainStats reports what a training session did.
+type TrainStats struct {
+	// TrainLoss is the mean training loss of the last epoch run.
+	TrainLoss float64
+	// ValLoss is the minimum validation loss observed across all epochs —
+	// exactly the loss of the weights the network holds once the session
+	// finishes. Zero when no validation split was given.
+	ValLoss float64
+	// BestEpoch is the 1-based epoch that produced ValLoss (0 without a
+	// validation split).
+	BestEpoch int
+	// EpochsRun counts the epochs actually trained (≤ the budget when
+	// early stopping triggered).
+	EpochsRun int
+	// EarlyStopped reports whether patience ended training before the
+	// budget was exhausted.
+	EarlyStopped bool
+}
+
+// Session is one network's resumable training run: the single epoch loop,
+// which Network.Train runs in one slice and core's schedulers advance in
+// slices of epochs. It carries what must survive between slices: the
+// epochs left in the budget, the TrainStats so far and, with a validation
+// split, the best validation loss, the stagnant-epoch count and the
+// best-weight snapshot.
 // The batch buffers stay in the TrainScratch each slice is handed, so a
 // scheduler running many sessions needs one scratch per worker, not one
 // per session.
@@ -163,9 +198,6 @@ func (s *Session) validate(ts *TrainScratch) (stop bool) {
 		s.stagnant = 0
 	} else {
 		s.stagnant++
-	}
-	if v.Observer != nil {
-		v.Observer(epoch, s.st.TrainLoss, valLoss)
 	}
 	return v.Patience > 0 && s.stagnant >= v.Patience
 }

@@ -263,7 +263,7 @@ func WithEarlyStopping(patience int) Option {
 // best-validation weights.
 func WithValidationSplit(frac float64) Option {
 	return func(c *config) error {
-		if frac <= 0 || frac >= 1 {
+		if !(frac > 0 && frac < 1) {
 			return fmt.Errorf("WithValidationSplit: fraction %v outside (0, 1)", frac)
 		}
 		c.valFrac = frac

@@ -367,6 +367,9 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := sizeless.GenerateDataset(ctx, sizeless.WithFunctions(1), sizeless.WithValidationSplit(-0.2)); err == nil {
 		t.Error("negative validation split should error")
 	}
+	if _, err := sizeless.GenerateDataset(ctx, sizeless.WithFunctions(1), sizeless.WithValidationSplit(math.NaN())); err == nil {
+		t.Error("NaN validation split should error")
+	}
 }
 
 // TestServiceShardedFleetIngest drives the public fleet path: a sharded
