@@ -92,7 +92,7 @@ func FineTune(ctx context.Context, m *Model, ds *dataset.Dataset, opts FineTuneO
 		opts.Epochs = 100
 	}
 	if f := opts.ValidationFraction; !(f >= 0 && f < 1) {
-		return nil, fmt.Errorf("core: fine-tune: validation fraction %v outside [0, 1)", opts.ValidationFraction)
+		return nil, fmt.Errorf("core: fine-tune: validation fraction %v outside [0, 1)", f)
 	}
 
 	// Clone via serialization: fresh optimizer state, independent weights.

@@ -269,7 +269,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, cfg ModelConfig) (*Model, e
 	}
 
 	if f := cfg.ValidationFraction; !(f >= 0 && f < 1) {
-		return nil, fmt.Errorf("core: validation fraction %v outside [0, 1)", cfg.ValidationFraction)
+		return nil, fmt.Errorf("core: validation fraction %v outside [0, 1)", f)
 	}
 
 	// Early stopping: every member trains against the same held-out split

@@ -17,9 +17,9 @@ import (
 //
 // Ownership rules: a TrainScratch must not be shared across goroutines
 // (each concurrent trainer takes its own, typically from the internal
-// sync.Pool that a nil scratch borrows from); it may be reused freely across
-// sequential Train calls on networks of any shape; the zero value is
-// ready to use. Its contents are unspecified between calls.
+// sync.Pool that a nil scratch borrows from); it may be reused freely
+// across sequential Train calls on networks of any shape; the zero value
+// is ready to use. Its contents are unspecified between calls.
 type TrainScratch struct {
 	xb    []float64      // gathered input batch, batch×inputs
 	acts  [][]float64    // post-activations per layer, batch×out
@@ -78,7 +78,7 @@ func (n *Network) Train(ctx context.Context, x, y [][]float64) (float64, error) 
 		return 0, err
 	}
 	_, err = s.Train(ctx, n.cfg.Epochs, nil)
-	return s.st.TrainLoss, err
+	return s.Stats().TrainLoss, err
 }
 
 // shuffleStream returns the network's epoch-shuffle stream, derived from

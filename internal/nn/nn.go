@@ -207,7 +207,7 @@ func (n *Network) ensureOptState() {
 // twice the memory of the weights) and its step count, leaving the
 // network as a freshly loaded one: it predicts the same, and training it
 // again starts the optimizer afresh. It is for a network that is done
-// training; a staged schedule must not call it between segments.
+// training; it must not be called between a session's slices.
 func (n *Network) DropOptimizerState() {
 	n.step = 0
 	for _, d := range n.layers {

@@ -75,46 +75,37 @@ type Session struct {
 // the network's shape and returns a session with an epoch budget. Nothing
 // trains until Train.
 func (n *Network) NewSession(x, y [][]float64, epochs int, v Validation) (*Session, error) {
-	s := &Session{}
-	if err := s.init(n, x, y, epochs, v); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *Session) init(n *Network, x, y [][]float64, epochs int, v Validation) error {
 	if epochs <= 0 {
-		return errors.New("nn: epochs must be positive")
+		return nil, errors.New("nn: epochs must be positive")
 	}
 	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("nn: empty or mismatched training data")
+		return nil, errors.New("nn: empty or mismatched training data")
 	}
 	for i := range x {
 		if len(x[i]) != n.cfg.Inputs {
-			return fmt.Errorf("nn: sample %d has %d features, want %d", i, len(x[i]), n.cfg.Inputs)
+			return nil, fmt.Errorf("nn: sample %d has %d features, want %d", i, len(x[i]), n.cfg.Inputs)
 		}
 		if len(y[i]) != n.cfg.Outputs {
-			return fmt.Errorf("nn: target %d has %d values, want %d", i, len(y[i]), n.cfg.Outputs)
+			return nil, fmt.Errorf("nn: target %d has %d values, want %d", i, len(y[i]), n.cfg.Outputs)
 		}
 	}
 	var bestW, bestB [][]float64
 	if len(v.X) > 0 {
 		if len(v.X) != len(v.Y) {
-			return errors.New("nn: mismatched validation data")
+			return nil, errors.New("nn: mismatched validation data")
 		}
 		for i := range v.X {
 			if len(v.X[i]) != n.cfg.Inputs || len(v.Y[i]) != n.cfg.Outputs {
-				return fmt.Errorf("nn: validation sample %d has wrong shape", i)
+				return nil, fmt.Errorf("nn: validation sample %d has wrong shape", i)
 			}
 		}
 		bestW = make([][]float64, len(n.layers))
 		bestB = make([][]float64, len(n.layers))
 	}
-	*s = Session{
+	return &Session{
 		n: n, x: x, y: y, v: v, left: epochs,
 		bestVal: math.Inf(1), bestW: bestW, bestB: bestB,
-	}
-	return nil
+	}, nil
 }
 
 // Train runs up to k more epochs of the budget on ts's buffers (nil
