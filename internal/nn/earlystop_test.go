@@ -282,6 +282,44 @@ func TestFrozenLayersSurviveBestRestore(t *testing.T) {
 	}
 }
 
+// TestStagedTrainingMatchesContinuous asserts the persistent shuffle
+// stream property: training one network in separate sessions of 10, 10
+// and 20 epochs produces bit-identical weights to one session of the same
+// 40 epochs, since the shuffle stream and optimizer moments live in the
+// network, not the session.
+func TestStagedTrainingMatchesContinuous(t *testing.T) {
+	x, y := makeLinearData(90, 4, 2, 31)
+	cfg := Config{Inputs: 4, Outputs: 2, Hidden: []int{14, 14}, Optimizer: Adam, Epochs: 40, Seed: 13}
+	continuous, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSession(context.Background(), continuous, x, y, 40, Validation{}); err != nil {
+		t.Fatal(err)
+	}
+	staged, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, segment := range []int{10, 10, 20} {
+		if _, err := runSession(context.Background(), staged, x, y, segment, Validation{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for li := range continuous.layers {
+		for i := range continuous.layers[li].w {
+			if continuous.layers[li].w[i] != staged.layers[li].w[i] {
+				t.Fatalf("staged training diverged at layer %d weight %d", li, i)
+			}
+		}
+		for o := range continuous.layers[li].b {
+			if continuous.layers[li].b[o] != staged.layers[li].b[o] {
+				t.Fatalf("staged training diverged at layer %d bias %d", li, o)
+			}
+		}
+	}
+}
+
 // TestSessionSlicesMatchOneCall: a session advanced in uneven slices, and
 // resumed after a cancellation in the middle of one, trains exactly what
 // one call over the whole budget trains, bit for bit: without a
