@@ -42,8 +42,9 @@ func TestEveryInternalExportHasCaller(t *testing.T) {
 
 // TestUncalledExportsFixture pins what the whole-program check reports on
 // a fixture program: an uncalled function, method and constant, a
-// self-recursive function, and a bare suppression; and what it leaves
-// alone: called names, interface methods, and a suppression with a reason.
+// self-recursive function, a bare suppression, and an uncalled function
+// named like a field that is read; and what it leaves alone: called names,
+// interface methods, and a suppression with a reason.
 func TestUncalledExportsFixture(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -75,6 +76,7 @@ func TestUncalledExportsFixture(t *testing.T) {
 		"42: deadexport: method lib.T.Dead has no caller outside tests",
 		"61: lint: malformed lint:ignore: want \"//lint:ignore <analyzer>[,<analyzer>] <reason>\" — the reason is mandatory",
 		"62: deadexport: func lib.BareIgnore has no caller outside tests",
+		"68: deadexport: func lib.Shadow has no caller outside tests",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -276,6 +278,8 @@ type aser interface{ As(any) bool }`
 
 // objectKey names obj the same way whichever load it came from:
 // "path.Name" for package-level objects, "path.Type.Method" for methods.
+// Struct fields and local names get no key: the check never reports them,
+// and reading a field must not mark a package-level func of the same name.
 func objectKey(obj types.Object) string {
 	if obj.Pkg() == nil {
 		return ""
@@ -286,6 +290,9 @@ func objectKey(obj types.Object) string {
 			return "" // a method of an interface literal
 		}
 		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
 }

@@ -14,4 +14,5 @@ func main() {
 	f := lib.Value
 	fmt.Println(lib.Used, s.Speak(), f())
 	lib.Called().Sort()
+	fmt.Println(lib.Report{}.Shadow)
 }

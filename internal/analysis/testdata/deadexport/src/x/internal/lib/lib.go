@@ -60,3 +60,9 @@ func Fixture() {}
 
 //lint:ignore deadexport
 func BareIgnore() {}
+
+// Report's Shadow field is read from x/cmd/app.
+type Report struct{ Shadow int }
+
+// Shadow shares its name with the field but has no caller.
+func Shadow() {}

@@ -116,7 +116,7 @@ func TestAppGraphsValidate(t *testing.T) {
 			t.Errorf("%s: %v", app.Name, err)
 			continue
 		}
-		pl, err := dag.PerFunction(context.Background(), g, dag.Config{
+		cmp, err := dag.Compare(context.Background(), g, dag.Config{
 			Platform: platform.DefaultConfig(),
 			Sizes:    []platform.MemorySize{platform.Mem256},
 		})
@@ -124,7 +124,7 @@ func TestAppGraphsValidate(t *testing.T) {
 			t.Errorf("%s: %v", app.Name, err)
 			continue
 		}
-		if got := len(pl.Groups); got != len(app.Functions) {
+		if got := len(cmp.PerFunction.Groups); got != len(app.Functions) {
 			t.Errorf("%s graph plans %d functions, app has %d", app.Name, got, len(app.Functions))
 		}
 	}

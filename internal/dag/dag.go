@@ -29,8 +29,7 @@
 // — composed through the platform ResourceModel's GC-pressure curve, which
 // is what makes over-aggressive fusion expensive at small sizes. The
 // planner enumerates fusion plans over the maximal fusable chains, searches
-// sizes per plan (exhaustively with cost-bound pruning, falling back to
-// deterministic coordinate descent past Config.MaxExhaustive), fans plans
+// each plan's sizes once, exhaustively with lower-bound pruning, fans plans
 // out over internal/pool, and reduces deterministically: results are
 // bit-identical for a given seed at any worker count.
 package dag

@@ -142,35 +142,6 @@ func TestFusableChains(t *testing.T) {
 	}
 }
 
-func TestFuseSpecs(t *testing.T) {
-	a, b := spec("A", 20), spec("B", 30)
-	a.ResponseKB, b.ResponseKB = 5, 9
-	a.PayloadKB, b.PayloadKB = 3, 7
-	b.NoiseCoV = 0.4
-	fused := FuseSpecs("", a, b)
-	if fused.Name != "A+B" {
-		t.Errorf("fused name = %q", fused.Name)
-	}
-	if fused.BaseHeapMB != 50 || fused.CodeMB != 4 {
-		t.Errorf("fused footprint = heap %v code %v, want 50/4", fused.BaseHeapMB, fused.CodeMB)
-	}
-	if fused.PayloadKB != 3 || fused.ResponseKB != 9 {
-		t.Errorf("fused payload/response = %v/%v, want head's 3 / tail's 9", fused.PayloadKB, fused.ResponseKB)
-	}
-	if fused.NoiseCoV != 0.4 {
-		t.Errorf("fused noise = %v, want max 0.4", fused.NoiseCoV)
-	}
-	if len(fused.Ops) != len(a.Ops)+len(b.Ops) {
-		t.Errorf("fused ops = %d, want %d", len(fused.Ops), len(a.Ops)+len(b.Ops))
-	}
-	if err := fused.Validate(); err != nil {
-		t.Errorf("fused spec invalid: %v", err)
-	}
-	if FuseSpecs("x") != nil {
-		t.Error("FuseSpecs with no members should be nil")
-	}
-}
-
 func TestComposeTimeSingleAndInfeasible(t *testing.T) {
 	res := platform.DefaultResourceModel()
 	single := []Function{{Spec: spec("A", 20), Times: flatTimes(12, 256)}}

@@ -1,55 +1,12 @@
 package dag
 
-import (
-	"strings"
-
-	"sizeless/internal/platform"
-	"sizeless/internal/workload"
-)
+import "sizeless/internal/platform"
 
 // fusedHeapHeadroom caps how much of the available heap a fused unit's
 // combined working set may occupy before a size is ruled infeasible: past
 // this point the GC-pressure curve is so steep that the composed time model
 // stops being trustworthy (the real runtime would thrash or OOM).
 const fusedHeapHeadroom = 0.90
-
-// FuseSpecs composes member workload specs (in invocation order) into the
-// spec of the fused deployable unit: segments and ops run back to back in
-// one instance, the code bundle and resident heap are the sums of the
-// members', the request payload is the head's and the response the tail's,
-// and noise is the largest member's. The composed spec is what a
-// measurement campaign would deploy to validate a fusion decision.
-//
-//lint:ignore deadexport kept until the fused-unit time model is checked against the simulator it feeds
-func FuseSpecs(name string, members ...*workload.Spec) *workload.Spec {
-	if len(members) == 0 {
-		return nil
-	}
-	fused := &workload.Spec{Name: name}
-	if name == "" {
-		parts := make([]string, len(members))
-		for i, m := range members {
-			parts[i] = m.Name
-		}
-		fused.Name = strings.Join(parts, "+")
-	}
-	for i, m := range members {
-		fused.SegmentNames = append(fused.SegmentNames, m.SegmentNames...)
-		fused.Ops = append(fused.Ops, m.Ops...)
-		fused.BaseHeapMB += m.BaseHeapMB
-		fused.CodeMB += m.CodeMB
-		if m.NoiseCoV > fused.NoiseCoV {
-			fused.NoiseCoV = m.NoiseCoV
-		}
-		if i == 0 {
-			fused.PayloadKB = m.PayloadKB
-		}
-		if i == len(members)-1 {
-			fused.ResponseKB = m.ResponseKB
-		}
-	}
-	return fused
-}
 
 // fusedHeapMB is the resident working set of a fused unit: every member's
 // base heap stays live in the shared instance.

@@ -42,10 +42,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds the fusion-plan fan-out (default GOMAXPROCS).
 	Workers int
-	// MaxExhaustive caps the size-combination count a fusion plan may
-	// search exhaustively; larger plans fall back to deterministic
-	// coordinate descent. Zero means 1<<22.
-	MaxExhaustive int
 }
 
 func (c Config) withDefaults() Config {
@@ -54,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rate <= 0 {
 		c.Rate = 10
-	}
-	if c.MaxExhaustive <= 0 {
-		c.MaxExhaustive = 1 << 22
 	}
 	return c
 }
@@ -171,7 +164,6 @@ type shape struct {
 	order    []int // group indices in topological order
 	preds    [][]shapePred
 	edgeCost float64 // per-request trigger+transfer charges (size-independent)
-	combos   float64
 	// minCostSum / minLatLB are reachability lower bounds used for
 	// normalization and pruning.
 	minCostSum float64
@@ -495,7 +487,6 @@ func (p *planner) addShape(chains [][]int, masks []int, inChain []bool) error {
 		return fmt.Errorf("dag: %s: internal error: contracted graph not acyclic", p.g.Name)
 	}
 
-	sh.combos = 1
 	sh.minCostSum = sh.edgeCost
 	finish := make([]float64, len(groups))
 	for gi, st := range groups {
@@ -503,7 +494,6 @@ func (p *planner) addShape(chains [][]int, masks []int, inChain []bool) error {
 			sh.feasible = false
 			break
 		}
-		sh.combos *= float64(st.nOK)
 		sh.minCostSum += st.minCost
 		finish[gi] = 0
 	}
@@ -555,7 +545,8 @@ func (p *planner) score(cost, lat float64) float64 {
 }
 
 // searchShape finds the shape's S_total-minimizing size assignment
-// within lim. Ties prefer the assignment encountered
+// within lim by a depth-first search over every group's sizes, pruned by
+// cost and latency lower bounds. Ties prefer the assignment encountered
 // first in ascending-size enumeration order — i.e. smaller memory sizes,
 // mirroring the per-function optimizer's tie rule. Returns nil if the
 // shape is infeasible (or nothing in it satisfies lim).
@@ -566,13 +557,6 @@ func (p *planner) searchShape(sh *shape, lim *limit) []int {
 	if sh.minCostSum > lim.maxCost || sh.minLatLB > lim.maxLat {
 		return nil // even the shape's lower bounds regress the reference
 	}
-	if sh.combos <= float64(p.cfg.MaxExhaustive) {
-		return p.searchExhaustive(sh, lim)
-	}
-	return p.searchDescent(sh, lim)
-}
-
-func (p *planner) searchExhaustive(sh *shape, lim *limit) []int {
 	n := len(sh.groups)
 	// suffixMin[i] = Σ_{j ≥ i} min group cost: the cost lower bound for
 	// the not-yet-assigned tail, used to prune on the cost term alone
@@ -623,94 +607,6 @@ func (p *planner) searchExhaustive(sh *shape, lim *limit) []int {
 	return best
 }
 
-// searchDescent is the deterministic fallback past MaxExhaustive:
-// coordinate descent from each group's locally best size, sweeping groups
-// in order until a full sweep improves nothing. It first descends on
-// violation of lim until a feasible point is reached (returning nil if it
-// cannot), then descends on S_total accepting only moves that stay
-// feasible.
-func (p *planner) searchDescent(sh *shape, lim *limit) []int {
-	n := len(sh.groups)
-	t := p.cfg.Tradeoff
-	assign := make([]int, n)
-	for gi, st := range sh.groups {
-		bestS := math.Inf(1)
-		for si := range p.sizes {
-			if !st.ok[si] {
-				continue
-			}
-			s := t*st.cost[si]/st.minCost + (1-t)*st.latMs[si]/st.minLat
-			if s < bestS {
-				bestS = s
-				assign[gi] = si
-			}
-		}
-	}
-	finish := make([]float64, n)
-	viol := func(cost, lat float64) float64 {
-		return math.Max(0, cost/lim.maxCost-1) + math.Max(0, lat/lim.maxLat-1)
-	}
-	cost, lat := sh.eval(assign, finish)
-	if v := viol(cost, lat); v > 0 {
-		for sweep := 0; sweep < 32 && v > 0; sweep++ {
-			improved := false
-			for gi := 0; gi < n; gi++ {
-				st := sh.groups[gi]
-				cur := assign[gi]
-				for si := range p.sizes {
-					if !st.ok[si] || si == cur {
-						continue
-					}
-					assign[gi] = si
-					c, l := sh.eval(assign, finish)
-					if nv := viol(c, l); nv < v {
-						v = nv
-						cur = si
-						improved = true
-					} else {
-						assign[gi] = cur
-					}
-				}
-				assign[gi] = cur
-			}
-			if !improved {
-				break
-			}
-		}
-		if v > 0 {
-			return nil
-		}
-	}
-	cost, lat = sh.eval(assign, finish)
-	bestS := p.score(cost, lat)
-	for sweep := 0; sweep < 32; sweep++ {
-		improved := false
-		for gi := 0; gi < n; gi++ {
-			st := sh.groups[gi]
-			cur := assign[gi]
-			for si := range p.sizes {
-				if !st.ok[si] || si == cur {
-					continue
-				}
-				assign[gi] = si
-				c, l := sh.eval(assign, finish)
-				if s := p.score(c, l); s < bestS && viol(c, l) == 0 {
-					bestS = s
-					cur = si
-					improved = true
-				} else {
-					assign[gi] = cur
-				}
-			}
-			assign[gi] = cur
-		}
-		if !improved {
-			break
-		}
-	}
-	return assign
-}
-
 // plan assembles the public Plan for a searched shape.
 func (p *planner) plan(sh *shape, assign []int) *Plan {
 	finish := make([]float64, len(sh.groups))
@@ -743,32 +639,6 @@ func (p *planner) plan(sh *shape, assign []int) *Plan {
 	return pl
 }
 
-// searchAll searches the given shapes over the pool and returns the plan
-// with the lowest S_total; earlier shapes win exact ties, so the result is
-// deterministic at any worker count. seed is an assignment for shapes[0]
-// used as the incumbent (it wins ties), and lim restricts the search to
-// candidates regressing neither of its axes.
-func (p *planner) searchAll(ctx context.Context, shapes []*shape, lim *limit, seed []int) (*Plan, error) {
-	assigns := make([][]int, len(shapes))
-	err := pool.Run(ctx, len(shapes), p.cfg.Workers, func(i int) error {
-		assigns[i] = p.searchShape(shapes[i], lim)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	best := p.plan(shapes[0], seed)
-	for i, sh := range shapes {
-		if assigns[i] == nil {
-			continue
-		}
-		if pl := p.plan(sh, assigns[i]); pl.STotal < best.STotal {
-			best = pl
-		}
-	}
-	return best, nil
-}
-
 // perFunction sizes every function independently with the per-function
 // optimizer and evaluates the resulting all-singleton assignment under the
 // end-to-end model. It also returns the assignment itself so Compare can
@@ -798,27 +668,16 @@ func (p *planner) perFunction() (*Plan, []int, error) {
 	return p.plan(sh, assign), assign, nil
 }
 
-// PerFunction plans the baseline: every function sized independently by
-// the §3.5 optimizer (the graph contributes only the evaluation, not the
-// decision). This is exactly what running `optimizer.Optimize` per
-// function recommends, evaluated end to end.
-func PerFunction(ctx context.Context, g *Graph, cfg Config) (*Plan, error) {
-	p, err := newPlanner(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pl, _, err := p.perFunction()
-	return pl, err
-}
-
 // Compare runs all three planning modes over one shared normalization, so
 // the S scores (and cost/latency) are directly comparable. The two
 // application-level plans minimize S_total within the region that
 // regresses neither the baseline's end-to-end cost nor its critical-path
 // latency; the baseline assignment itself is the incumbent, so both are
 // always feasible and win exact ties (a deploy-what-you-have answer when
-// nothing strictly better exists). Since the fused search space contains
-// the sizes-only space and both share the constraint and incumbent,
+// nothing strictly better exists). Every fusion plan is searched once:
+// SizesOnly is the best of the all-singleton plan, Fused the best of all
+// plans. Since the fused search space contains the sizes-only space and
+// both share the constraint and incumbent,
 // STotal(Fused) ≤ STotal(SizesOnly) ≤ STotal(PerFunction) always holds.
 func Compare(ctx context.Context, g *Graph, cfg Config) (*Comparison, error) {
 	p, err := newPlanner(g, cfg)
@@ -830,13 +689,28 @@ func Compare(ctx context.Context, g *Graph, cfg Config) (*Comparison, error) {
 		return nil, err
 	}
 	lim := &limit{maxCost: base.CostPerReq, maxLat: base.LatencyMs}
-	sizes, err := p.searchAll(ctx, p.shapes[:1], lim, baseAssign)
+	assigns := make([][]int, len(p.shapes))
+	err = pool.Run(ctx, len(p.shapes), p.cfg.Workers, func(i int) error {
+		assigns[i] = p.searchShape(p.shapes[i], lim)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	fused, err := p.searchAll(ctx, p.shapes, lim, baseAssign)
-	if err != nil {
-		return nil, err
+	// best picks the lowest S_total among the first n shapes' optima, with
+	// the baseline assignment as the incumbent; the incumbent and earlier
+	// shapes win exact ties, so the result is the same at any worker count.
+	best := func(n int) *Plan {
+		pl := p.plan(p.shapes[0], baseAssign)
+		for i, assign := range assigns[:n] {
+			if assign == nil {
+				continue
+			}
+			if c := p.plan(p.shapes[i], assign); c.STotal < pl.STotal {
+				pl = c
+			}
+		}
+		return pl
 	}
-	return &Comparison{PerFunction: base, SizesOnly: sizes, Fused: fused}, nil
+	return &Comparison{PerFunction: base, SizesOnly: best(1), Fused: best(len(p.shapes))}, nil
 }

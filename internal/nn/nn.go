@@ -13,8 +13,10 @@
 // weights live in one contiguous row-major []float64, and a whole
 // mini-batch moves through the network as a (batch × dim) matrix per
 // layer — a blocked matrix multiply with fused bias+ReLU forward, and a
-// matching batched backward pass. All activations, deltas, gradients, and
-// optimizer moment buffers live in a reusable TrainScratch, so the
+// matching batched backward pass. The batch, activation, delta, gradient,
+// shuffle and validation buffers live in a reusable TrainScratch, and the
+// optimizer moment buffers live on the network's layers (allocated when
+// training first needs them, released by DropOptimizerState), so the
 // steady-state epoch loop performs zero allocations. Frozen layers (see
 // SetFrozenLayers) skip backward compute entirely, not just the weight
 // update. See engine.go for the kernels and TrainScratch for the buffer
