@@ -202,14 +202,17 @@ func BenchmarkRuntimeInvoke(b *testing.B) {
 	}
 }
 
-// BenchmarkDeploymentRun measures a full deployment run: 600 arrivals
-// through the instance pool with monitoring.
+// BenchmarkDeploymentRun measures a full deployment run in the shape of
+// one harness cell of the offline pipeline (30 rps for 2 minutes, about
+// 3600 arrivals): warm-pool routing, keep-alive reaping, cold starts and
+// monitoring.
 func BenchmarkDeploymentRun(b *testing.B) {
 	env := runtime.NewEnv()
-	sched, err := loadgen.Poisson(30, 20*time.Second, xrand.New(2).Derive("sched"))
+	sched, err := loadgen.Poisson(30, 2*time.Minute, xrand.New(2).Derive("sched"))
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc := monitoring.NewAccumulator()

@@ -89,10 +89,10 @@ func PowerTuning(m Measurer, sizes []platform.MemorySize, pricing platform.Price
 // CPU-bound (large b) and network-bound (b ≈ 0) functions.
 type coseModel struct {
 	a, b float64
-	res  platform.ResourceModel
+	res  *platform.ResourceModel
 }
 
-func fitCOSE(points map[platform.MemorySize]float64, res platform.ResourceModel) (coseModel, error) {
+func fitCOSE(points map[platform.MemorySize]float64, res *platform.ResourceModel) (coseModel, error) {
 	design := make([][]float64, 0, len(points))
 	y := make([]float64, 0, len(points))
 	for m, t := range points {
@@ -118,7 +118,7 @@ func (c coseModel) predict(m platform.MemorySize) float64 {
 // budget (the paper's point: COSE needs fewer measurements than Power
 // Tuning but still several). Budget must be at least 2; the default used in
 // the evaluation is 4.
-func COSE(m Measurer, sizes []platform.MemorySize, res platform.ResourceModel, pricing platform.Pricer, tradeoff float64, budget int) (Result, error) {
+func COSE(m Measurer, sizes []platform.MemorySize, res *platform.ResourceModel, pricing platform.Pricer, tradeoff float64, budget int) (Result, error) {
 	if len(sizes) < 2 {
 		return Result{}, errors.New("baselines: COSE needs at least two candidate sizes")
 	}

@@ -26,7 +26,7 @@ func fusedHeapMB(members []Function) float64 {
 // The second return is false when the size is infeasible for the group —
 // some member has no time at m, or the combined working set exceeds the
 // heap headroom.
-func composeTime(res platform.ResourceModel, members []Function, m platform.MemorySize) (float64, bool) {
+func composeTime(res *platform.ResourceModel, members []Function, m platform.MemorySize) (float64, bool) {
 	if len(members) == 1 {
 		t, ok := members[0].Times[m]
 		return t, ok && t > 0

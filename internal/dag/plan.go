@@ -342,7 +342,7 @@ func (p *planner) segment(members []int) (*segTable, error) {
 		return nil, err
 	}
 	for si, m := range p.sizes {
-		t, ok := composeTime(p.cfg.Platform.Resources, fns, m)
+		t, ok := composeTime(&p.cfg.Platform.Resources, fns, m)
 		if !ok {
 			continue
 		}

@@ -50,13 +50,14 @@ func TestAppMatrixFusionDominatesPerFunction(t *testing.T) {
 		t.Errorf("fused plan dominates per-function on %d of 4 apps, want ≥ 3", dominated)
 	}
 
-	// Apps whose chains scale with memory must actually fuse something.
-	// facial-recognition is deliberately absent: its chain is
-	// service-call-dominated, so fusing at small memory regresses latency
-	// (the GC composition penalty exceeds the saved trigger hops) and
-	// fusing at larger memory regresses cost — declining to fuse is the
-	// joint optimizer's correct answer there, and event-processing has no
-	// fusable chain at all.
+	// Apps whose chains scale with memory must actually fuse something on
+	// aws-lambda. facial-recognition is deliberately absent: on aws-lambda
+	// (and azure-functions) its chain is service-call-dominated, so fusing
+	// at small memory regresses latency (the GC composition penalty exceeds
+	// the saved trigger hops) and fusing at larger memory regresses cost —
+	// declining to fuse is the joint optimizer's correct answer there. On
+	// gcp-cloudfunctions it does fuse FaceSearch+IndexFace+PersistMetadata
+	// at 256 MB. event-processing has no fusable chain at all.
 	for _, app := range []string{"airline-booking", "hello-retail"} {
 		cell := res.Cell(app, "aws-lambda")
 		if cell == nil {

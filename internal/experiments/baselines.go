@@ -118,7 +118,7 @@ func BaselineComparison(ctx context.Context, lab *Lab) (*BaselineComparisonResul
 				return nil, err
 			}
 
-			cose, err := baselines.COSE(table, sizes, resModel, pricing, tradeoff, 4)
+			cose, err := baselines.COSE(table, sizes, &resModel, pricing, tradeoff, 4)
 			if err != nil {
 				return nil, err
 			}

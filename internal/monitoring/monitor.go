@@ -161,7 +161,7 @@ func (m *Monitor) Record(start time.Duration, coldStart bool, handler Handler) (
 		Start:     start,
 		Duration:  elapsed,
 		ColdStart: coldStart,
-		Metrics:   Diff(before, after, elapsed, lag),
+		Metrics:   Diff(&before, &after, elapsed, lag),
 	}
 	// Persisting happens after the vector is assembled — the store write
 	// cannot perturb the metrics (paper §3.2).
@@ -174,8 +174,9 @@ func (m *Monitor) Record(start time.Duration, coldStart bool, handler Handler) (
 }
 
 // Diff assembles a Table-1 metric vector from before/after snapshots, the
-// measured duration, and the lag window.
-func Diff(before, after Snapshot, elapsed time.Duration, lag LagSample) Vector {
+// measured duration, and the lag window. The snapshots are passed by
+// pointer: Diff runs once per simulated invocation, and each is 160 bytes.
+func Diff(before, after *Snapshot, elapsed time.Duration, lag LagSample) Vector {
 	var v Vector
 	v[ExecutionTime] = float64(elapsed) / float64(time.Millisecond)
 	v[UserCPUTime] = float64(after.UserCPU-before.UserCPU) / float64(time.Millisecond)

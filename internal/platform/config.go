@@ -34,7 +34,7 @@ type Config struct {
 // DefaultConfig returns the calibrated AWS-Lambda-like platform.
 func DefaultConfig() Config {
 	return Config{
-		Resources:        DefaultResourceModel(),
+		Resources:        *DefaultResourceModel(),
 		Pricing:          DefaultPricing(),
 		Grid:             SteppedGrid(128, 3008, 64),
 		ColdStartBase:    180 * time.Millisecond,

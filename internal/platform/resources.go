@@ -35,10 +35,12 @@ type ResourceModel struct {
 	GCPressureKnee   float64
 }
 
-// DefaultResourceModel returns the calibrated AWS-Lambda-like model used
-// throughout the reproduction.
-func DefaultResourceModel() ResourceModel {
-	return ResourceModel{
+// DefaultResourceModel returns a new copy of the calibrated AWS-Lambda-like
+// model used throughout the reproduction. The model's methods take a
+// pointer receiver because the simulator calls them on every phase, and a
+// value receiver would copy the 104-byte struct on each call.
+func DefaultResourceModel() *ResourceModel {
+	return &ResourceModel{
 		FullCPUAtMB:       1792,
 		MaxVCPUs:          2.0,
 		ThrottleOverhead:  0.20,
@@ -55,7 +57,7 @@ func DefaultResourceModel() ResourceModel {
 }
 
 // CPUShare returns the vCPU share allocated at memory size m.
-func (r ResourceModel) CPUShare(m MemorySize) float64 {
+func (r *ResourceModel) CPUShare(m MemorySize) float64 {
 	share := float64(m) / r.FullCPUAtMB
 	if share > r.MaxVCPUs {
 		return r.MaxVCPUs
@@ -65,7 +67,7 @@ func (r ResourceModel) CPUShare(m MemorySize) float64 {
 
 // SingleThreadSpeed returns the effective speed (relative to one full vCPU)
 // for single-threaded work, including the throttling penalty below one vCPU.
-func (r ResourceModel) SingleThreadSpeed(m MemorySize) float64 {
+func (r *ResourceModel) SingleThreadSpeed(m MemorySize) float64 {
 	share := r.CPUShare(m)
 	if share >= 1 {
 		return 1
@@ -77,7 +79,7 @@ func (r ResourceModel) SingleThreadSpeed(m MemorySize) float64 {
 
 // ParallelSpeed returns the effective speed for work that can use up to
 // `parallelism` threads (e.g. libuv's threadpool for crypto/zlib/fs).
-func (r ResourceModel) ParallelSpeed(m MemorySize, parallelism float64) float64 {
+func (r *ResourceModel) ParallelSpeed(m MemorySize, parallelism float64) float64 {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -92,7 +94,7 @@ func (r ResourceModel) ParallelSpeed(m MemorySize, parallelism float64) float64 
 }
 
 // NetBandwidthMBps returns the network bandwidth at memory size m.
-func (r ResourceModel) NetBandwidthMBps(m MemorySize) float64 {
+func (r *ResourceModel) NetBandwidthMBps(m MemorySize) float64 {
 	bw := r.NetBaseMBps + r.NetPerMBps*float64(m)
 	if bw > r.NetCapMBps {
 		return r.NetCapMBps
@@ -101,7 +103,7 @@ func (r ResourceModel) NetBandwidthMBps(m MemorySize) float64 {
 }
 
 // IOBandwidthMBps returns the /tmp file-system bandwidth at memory size m.
-func (r ResourceModel) IOBandwidthMBps(m MemorySize) float64 {
+func (r *ResourceModel) IOBandwidthMBps(m MemorySize) float64 {
 	bw := r.IOBaseMBps + r.IOPerMBps*float64(m)
 	if bw > r.IOCapMBps {
 		return r.IOCapMBps
@@ -111,7 +113,7 @@ func (r ResourceModel) IOBandwidthMBps(m MemorySize) float64 {
 
 // AvailableHeapMB returns the memory available to the function's heap after
 // runtime overhead.
-func (r ResourceModel) AvailableHeapMB(m MemorySize) float64 {
+func (r *ResourceModel) AvailableHeapMB(m MemorySize) float64 {
 	avail := float64(m) - r.RuntimeOverheadMB
 	if avail < 16 {
 		return 16
@@ -124,7 +126,7 @@ func (r ResourceModel) AvailableHeapMB(m MemorySize) float64 {
 // heap. It is 1 (no slowdown) while the occupancy is below the knee and
 // grows smoothly as the heap approaches the limit — modelling V8's
 // increasingly frequent collections near the cgroup memory cap.
-func (r ResourceModel) GCSlowdown(m MemorySize, heapMB float64) float64 {
+func (r *ResourceModel) GCSlowdown(m MemorySize, heapMB float64) float64 {
 	if heapMB <= 0 {
 		return 1
 	}

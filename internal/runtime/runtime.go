@@ -103,7 +103,7 @@ func NewInstance(env *Env, spec *workload.Spec, m platform.MemorySize, rng *xran
 		speedFactor: rng.TruncNormal(1.0, 0.035, 0.9, 1.1),
 	}
 	// Baseline gauges for a booted runtime before any invocation.
-	res := env.Platform.Resources
+	res := &env.Platform.Resources
 	inst.snap.HeapLimitMB = res.AvailableHeapMB(m)
 	inst.snap.HeapUsedMB = spec.BaseHeapMB
 	inst.snap.HeapTotalMB = spec.BaseHeapMB*1.2 + 4
@@ -127,7 +127,7 @@ func (i *Instance) RunInit() time.Duration {
 		return 0
 	}
 	i.initialized = true
-	res := i.env.Platform.Resources
+	res := &i.env.Platform.Resources
 	speed := res.SingleThreadSpeed(i.mem) * i.speedFactor
 	// Module loading: ~8 ms of CPU per MB of deployment package.
 	work := i.spec.CodeMB * 8.0
@@ -180,7 +180,7 @@ func (i *Instance) Invoke() (time.Duration, monitoring.LagSample, error) {
 }
 
 func (i *Instance) execOp(st *execState, op workload.Op, noise, drift float64) error {
-	res := i.env.Platform.Resources
+	res := &i.env.Platform.Resources
 	switch o := op.(type) {
 	case workload.CPUOp:
 		i.execCPU(st, o, noise, drift)
@@ -224,7 +224,7 @@ func (i *Instance) execCPU(st *execState, o workload.CPUOp, noise, drift float64
 	if o.WorkMs <= 0 {
 		return
 	}
-	res := i.env.Platform.Resources
+	res := &i.env.Platform.Resources
 	if o.TransientAllocMB > st.mallocPeakMB {
 		st.mallocPeakMB = o.TransientAllocMB
 	}
@@ -259,7 +259,7 @@ func (i *Instance) execCPU(st *execState, o workload.CPUOp, noise, drift float64
 }
 
 func (i *Instance) execService(st *execState, o workload.ServiceOp, noise, drift float64) error {
-	res := i.env.Platform.Resources
+	res := &i.env.Platform.Resources
 	profile, err := i.env.Services.Profile(o.Service)
 	if err != nil {
 		return err
@@ -321,7 +321,7 @@ func (i *Instance) transmit(st *execState, kb float64) {
 
 // finishInvocation refreshes the instantaneous gauges.
 func (i *Instance) finishInvocation(st *execState) {
-	res := i.env.Platform.Resources
+	res := &i.env.Platform.Resources
 	// A fraction of transient allocations survives until the post-handler
 	// gauge read (not yet collected).
 	residual := st.mallocPeakMB * i.rng.Uniform(0.05, 0.25)

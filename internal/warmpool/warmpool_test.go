@@ -1,6 +1,7 @@
 package warmpool
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -100,4 +101,156 @@ func TestLenAfterReap(t *testing.T) {
 	if p.Len() != 4 {
 		t.Fatalf("Len after Start = %d, want 4", p.Len())
 	}
+}
+
+// scanPool is the reference Pool must match: the lifecycle rules applied
+// by a linear scan, with every instance in start order and a reap pass and
+// a pick pass over all of them at each arrival.
+type scanPool struct {
+	keepAlive time.Duration
+	insts     []*scanInstance // in start order
+}
+
+type scanInstance struct {
+	id        int
+	idleSince time.Duration
+}
+
+func (p *scanPool) warm(t time.Duration) *scanInstance {
+	if p.keepAlive > 0 {
+		kept := p.insts[:0]
+		for _, in := range p.insts {
+			if t-in.idleSince <= p.keepAlive {
+				kept = append(kept, in)
+			}
+		}
+		p.insts = kept
+	}
+	var warm *scanInstance
+	for _, in := range p.insts {
+		if in.idleSince <= t && (warm == nil || in.idleSince > warm.idleSince) {
+			warm = in
+		}
+	}
+	return warm
+}
+
+func (p *scanPool) start(id int) *scanInstance {
+	in := &scanInstance{id: id}
+	p.insts = append(p.insts, in)
+	return in
+}
+
+// drivePools runs a Pool and a scanPool in lockstep over the call sequence
+// ops encodes and fails at the first call after which they differ in the
+// instance returned or in Len. Times move forward in whole milliseconds,
+// so equal idle times are common. The first byte picks the keep-alive,
+// including 0 and a negative one.
+func drivePools(t *testing.T, ops []byte) {
+	t.Helper()
+	if len(ops) == 0 {
+		return
+	}
+	const u = time.Millisecond
+	keepAlive := time.Duration(int(ops[0]%12)-2) * u // -2 … 9 ms
+	ops = ops[1:]
+	next := func() byte {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return b
+	}
+	p := New[int](keepAlive)
+	ref := &scanPool{keepAlive: keepAlive}
+	var insts []*Instance[int]
+	var refs []*scanInstance
+	var now time.Duration
+	call := 0
+	check := func(what string, got *Instance[int], want *scanInstance) {
+		t.Helper()
+		call++
+		switch {
+		case (got == nil) != (want == nil):
+			t.Fatalf("call %d (%s at %v, keep-alive %v): pool returned %v, scan %v", call, what, now, keepAlive, got, want)
+		case got != nil && got.Value != want.id:
+			t.Fatalf("call %d (%s at %v, keep-alive %v): pool picked %d, scan %d", call, what, now, keepAlive, got.Value, want.id)
+		case p.Len() != len(ref.insts):
+			t.Fatalf("call %d (%s at %v, keep-alive %v): Len = %d, scan has %d", call, what, now, keepAlive, p.Len(), len(ref.insts))
+		}
+	}
+	start := func() int {
+		id := len(insts)
+		insts = append(insts, p.Start(id))
+		refs = append(refs, ref.start(id))
+		check("Start", insts[id], refs[id])
+		return id
+	}
+	serve := func(id int, b byte) {
+		end := now + time.Duration(b%6)*u
+		insts[id].Serve(end)
+		refs[id].idleSince = end
+		check("Serve", nil, nil)
+	}
+	warm := func() *Instance[int] {
+		in := p.Warm(now)
+		check("Warm", in, ref.warm(now))
+		return in
+	}
+	for len(ops) > 0 {
+		b := next()
+		switch b & 3 {
+		case 0: // an arrival: served, throttled, or a pick left unserved
+			now += time.Duration(b>>2%8) * u
+			c := next()
+			in := warm()
+			switch {
+			case in == nil && c&1 == 0:
+				// Throttled: no instance starts.
+			case in == nil:
+				id := start()
+				if c&2 != 0 {
+					serve(id, c>>2)
+				}
+			case c&1 != 0:
+				serve(in.Value, c>>2)
+			}
+		case 1: // serve any instance started so far, reaped or not
+			if len(insts) > 0 {
+				serve(int(next())%len(insts), b>>2)
+			}
+		case 2: // an arrival exactly at some instance's reap boundary
+			if len(refs) > 0 {
+				if at := refs[int(b>>2)%len(refs)].idleSince + keepAlive; at > now {
+					now = at
+				}
+				warm()
+			}
+		case 3: // a start beside any idle instances
+			id := start()
+			if b&4 != 0 {
+				serve(id, b>>3)
+			}
+		}
+	}
+}
+
+func TestPoolMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		ops := make([]byte, 64+rng.Intn(4000))
+		rng.Read(ops)
+		drivePools(t, ops)
+	}
+}
+
+func FuzzPoolMatchesScan(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		ops := make([]byte, 1+rng.Intn(512))
+		rng.Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(drivePools)
 }

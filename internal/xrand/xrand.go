@@ -6,10 +6,12 @@
 // so two runs with the same seed produce bit-identical datasets regardless
 // of goroutine scheduling — each logical component owns its own stream.
 //
-// The generator behind a Stream is math/rand's PRNG seeded from a FNV-1a
-// hash of (seed, name); the package adds the distributions the simulator
-// needs that the standard library lacks (lognormal, truncated normal,
-// bounded Pareto).
+// The generator behind a Stream is math/rand's lagged-Fibonacci generator,
+// reimplemented here with a faster seeding step (see source) and seeded from
+// a FNV-1a hash of (seed, name); every draw is bit-identical to
+// rand.New(rand.NewSource(seed)). The package adds the distributions the
+// simulator needs that the standard library lacks (lognormal, truncated
+// normal, bounded Pareto).
 package xrand
 
 import (
@@ -25,11 +27,17 @@ type Stream struct {
 	rng  *rand.Rand
 	seed int64
 	name string
+
+	// jitterCov is the cov of the last Jitter draw, and jitterMu and
+	// jitterSigma its lognormal parameters (0 until the first draw, which
+	// needs cov > 0). A simulated function draws every phase with its one
+	// noise CoV, so the logarithms rarely need recomputing.
+	jitterCov, jitterMu, jitterSigma float64
 }
 
 // New returns a root stream for the given seed.
 func New(seed int64) *Stream {
-	return &Stream{rng: rand.New(rand.NewSource(seed)), seed: seed, name: ""}
+	return &Stream{rng: rand.New(newSource(seed)), seed: seed, name: ""}
 }
 
 // Derive returns an independent stream deterministically derived from the
@@ -45,7 +53,7 @@ func (s *Stream) Derive(name string) *Stream {
 	_, _ = h.Write([]byte(strconv.FormatInt(s.seed, 16)))
 	derived := int64(h.Sum64())
 	return &Stream{
-		rng:  rand.New(rand.NewSource(derived)),
+		rng:  rand.New(newSource(derived)),
 		seed: derived,
 		name: s.name + "/" + name,
 	}
@@ -172,5 +180,11 @@ func (s *Stream) Jitter(base, cov float64) float64 {
 	if base <= 0 || cov <= 0 {
 		return base
 	}
-	return base * s.LogNormal(1, cov)
+	// LogNormal(1, cov), with its parameters memoized: the same
+	// expressions give the same bits.
+	if cov != s.jitterCov {
+		sigma2 := math.Log(1 + cov*cov)
+		s.jitterCov, s.jitterMu, s.jitterSigma = cov, math.Log(1)-sigma2/2, math.Sqrt(sigma2)
+	}
+	return base * math.Exp(s.jitterMu+s.jitterSigma*s.rng.NormFloat64())
 }
