@@ -99,9 +99,9 @@
 // service's recompute) share a pooled feature-extraction and forward-pass
 // layer (sync.Pool-backed matrices and scratch), so batch prediction does
 // not allocate a fresh matrix per call. They share one forward pass too: a
-// single prediction is a one-row batch. Single rows and the last n%4 rows
-// of a batch take the single-row kernel and are bit-identical to Predict;
-// only rows inside four-row blocks reassociate (a few ULPs). Each tracked
+// single prediction is a one-row batch, and every row of a batch takes the
+// same one-row kernel, which skips the hidden layers' exact ReLU zeros, so
+// a batch equals Predict on each row bit for bit. Each tracked
 // function also caches its baseline window's sorted ranks, so a
 // stationary fleet's repeated drift sweeps stop re-sorting the unchanged
 // baseline. BENCH_ingest.json records the measured fleet-ingest

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -202,6 +203,16 @@ func TestGoldenPredictorPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex(raw); got != goldenRecommendSHA {
 		t.Errorf("RecommendBatch output sha256 = %s, want %s", got, goldenRecommendSHA)
+	}
+	// The batch is the per-row path, bit for bit.
+	for i, s := range sums {
+		rec, err := pred.Recommend(s, 0.75)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(recs[i], rec) {
+			t.Errorf("RecommendBatch row %d = %+v, Recommend = %+v", i, recs[i], rec)
+		}
 	}
 
 	// The single-row path: one Predict call per held-out summary.

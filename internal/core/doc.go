@@ -25,9 +25,11 @@
 //     band, and project the per-size times onto the monotone region (more
 //     memory never predicts slower execution). Both run on
 //     nn.Network.ForwardBatch with one pooled scratch type: Predict is a
-//     one-row batch (bit-identical to the per-row kernel), and
-//     PredictBatch chunks the input — one matrix pass per ensemble member
-//     per chunk, never more pool workers than chunks. trainmodels.go adds
+//     one-row batch, and PredictBatch splits the input evenly into chunks
+//     of at most 16 rows, at least one per worker, each moving through
+//     every ensemble member one layer at a time. Every row takes the same
+//     one-row kernel, so PredictBatch equals Predict bit for bit however
+//     the rows are chunked. trainmodels.go adds
 //     TrainModels, the multi-model fan-out (one model per base size or per
 //     provider) over the same pool.
 //

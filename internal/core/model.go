@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -205,7 +206,7 @@ func (m *Model) getBatchBuf(rows int) *batchBuf {
 
 // ratiosFromScaledBatch runs the ensemble over already-scaled feature rows
 // through ForwardBatch — each member moves the whole chunk through its
-// layers as blocked matrix multiplies — and leaves the clamped mean ratios
+// layers one layer at a time — and leaves the clamped mean ratios
 // in bb.ratios[i] for row i: members summed in ensemble order, then mean,
 // then clamp to a physically plausible band (no memory change yields a
 // >50× slowdown or speedup on this platform; the CPU share spans only ~28×
@@ -396,9 +397,8 @@ func (m *Model) predictVector(vec []float64) ([]float64, error) {
 // recommender to call once per drifted function, and safe to call from
 // many goroutines at once.
 func (m *Model) Predict(s monitoring.Summary) (map[platform.MemorySize]float64, error) {
-	baseMs := s.Mean[monitoring.ExecutionTime]
-	if baseMs <= 0 {
-		return nil, errors.New("core: summary has non-positive execution time")
+	if err := CheckSummary(s); err != nil {
+		return nil, err
 	}
 	rows, release := m.extractor.Borrow(1)
 	defer release()
@@ -411,7 +411,7 @@ func (m *Model) Predict(s monitoring.Summary) (map[platform.MemorySize]float64, 
 	if err := m.ratiosFromScaledBatch(rows[:1], bb); err != nil {
 		return nil, err
 	}
-	return m.timesFromRatios(baseMs, bb.ratios[0]), nil
+	return m.timesFromRatios(s.Mean[monitoring.ExecutionTime], bb.ratios[0]), nil
 }
 
 // timesFromRatios assembles the per-size execution-time map from the base
@@ -426,17 +426,24 @@ func (m *Model) timesFromRatios(baseMs float64, ratios []float64) map[platform.M
 	return out
 }
 
+// CheckSummary reports whether Predict can use s: its mean execution
+// time, the base every predicted ratio scales, must be positive.
+func CheckSummary(s monitoring.Summary) error {
+	if s.Mean[monitoring.ExecutionTime] <= 0 {
+		return errors.New("core: summary has non-positive execution time")
+	}
+	return nil
+}
+
 // PredictBatch predicts execution times for many summaries in one pass —
 // the fleet-scale hot path of a provider-side recommender. Feature
-// extraction and scaling are amortized into single matrix operations, each
-// chunk of summaries moves through every ensemble member as one blocked
-// GEMM (nn.ForwardBatch), and chunks run concurrently on up to `workers`
-// goroutines (0 = GOMAXPROCS); pool.Run clamps that to the chunk count,
-// so small batches never spawn idle workers.
-// Results are positionally aligned with sums and deterministic. Rows that
-// fall in a four-row block of their chunk reassociate their dot products
-// and match Predict within a few ULPs; every other row is bit-identical
-// to Predict. Cancelling ctx abandons unstarted chunks.
+// extraction and scaling are amortized into single matrix operations, and
+// the rows are split evenly into chunks of at most 16, at least one per
+// worker (0 = GOMAXPROCS), that run concurrently. Each chunk moves through
+// every ensemble member one layer at a time (nn.ForwardBatch), so a
+// layer's weights stay cached across the chunk. Results are positionally
+// aligned with sums and equal Predict on each summary bit for bit,
+// however the rows are chunked. Cancelling ctx abandons unstarted chunks.
 func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, workers int) ([]map[platform.MemorySize]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -449,10 +456,8 @@ func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, wor
 	// fresh matrix per call.
 	scaled, release := m.extractor.Borrow(len(sums))
 	defer release()
-	baseMs := make([]float64, len(sums))
 	for i, s := range sums {
-		baseMs[i] = s.Mean[monitoring.ExecutionTime]
-		if baseMs[i] <= 0 {
+		if CheckSummary(s) != nil {
 			return nil, fmt.Errorf("core: summary %d has non-positive execution time", i)
 		}
 		features.ExtractInto(scaled[i], m.cfg.Features, s)
@@ -461,22 +466,19 @@ func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, wor
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// Chunked fan-out over the shared bounded pool: each chunk borrows
-	// batched forward-pass scratch and rides ForwardBatch, so a chunk
-	// crosses each layer as one blocked matrix multiply instead of
-	// per-sample dot products. Jobs write only their own indices, so
-	// results are deterministic for any worker count.
-	const chunk = 16
-	out := make([]map[platform.MemorySize]float64, len(sums))
-	nChunks := (len(sums) + chunk - 1) / chunk
-	err := pool.Run(ctx, nChunks, workers, func(c int) error {
-		bb := m.getBatchBuf(chunk)
+	// Chunked fan-out over the shared bounded pool. Jobs write only their
+	// own indices, so results are deterministic for any worker count.
+	const maxChunk = 16
+	n := len(sums)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunks := max((n+maxChunk-1)/maxChunk, min(workers, n))
+	out := make([]map[platform.MemorySize]float64, n)
+	err := pool.Run(ctx, chunks, workers, func(c int) error {
+		start, end := c*n/chunks, (c+1)*n/chunks
+		bb := m.getBatchBuf(end - start)
 		defer m.batchPool.Put(bb)
-		start := c * chunk
-		end := start + chunk
-		if end > len(sums) {
-			end = len(sums)
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -484,7 +486,7 @@ func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, wor
 			return err
 		}
 		for i := start; i < end; i++ {
-			out[i] = m.timesFromRatios(baseMs[i], bb.ratios[i-start])
+			out[i] = m.timesFromRatios(sums[i].Mean[monitoring.ExecutionTime], bb.ratios[i-start])
 		}
 		return nil
 	})

@@ -317,11 +317,10 @@ func (d *dense) gemmNT(dst, x []float64, n int) {
 			d0[o], d1[o], d2[o], d3[o] = c0, c1, c2, c3
 		}
 	}
-	// Remainder rows go through the single-row kernel, so a batch of
-	// fewer than four rows — a one-row Predict included — is bit-identical
-	// to forwardInto.
+	// Remainder rows take the dense one-row loop, in the inference
+	// kernel's summation order.
 	for ; s < n; s++ {
-		d.forwardInto(x[s*k:(s+1)*k], dst[s*m:(s+1)*m])
+		d.denseInto(x[s*k:(s+1)*k], dst[s*m:(s+1)*m])
 	}
 }
 
@@ -506,10 +505,12 @@ func axpy2(dst, s0, s1 []float64, v0, v1 float64) {
 	}
 }
 
-// dotBiasScalar computes b + w·x with four independent accumulators,
-// breaking the add-latency dependency chain that bounds the naive loop.
-// Its summation order is the frozen single-row order of forwardInto.
-func dotBiasScalar(w, x []float64, b float64) float64 {
+// dotBias computes b + w·x with four independent accumulators, breaking
+// the add-latency dependency chain that bounds the naive loop: lane j
+// sums the terms i < n4 with i%4 == j (n4 = len(x) &^ 3), then b and the
+// four lanes are added in order, then the tail terms. This summation
+// order is frozen; lanes.dotBias keeps it with the zero terms left out.
+func dotBias(w, x []float64, b float64) float64 {
 	w = w[:len(x)]
 	var s0, s1, s2, s3 float64
 	n := len(x) &^ 3

@@ -2,12 +2,12 @@ package nn
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
 // TestForwardBatchMatchesPredict asserts the batched forward entry point
-// agrees with the per-sample path on a trained network. The batched GEMM
-// reassociates dot products, so the bound is a few ULPs, not bit equality.
+// equals the per-sample path bit for bit on a trained network.
 func TestForwardBatchMatchesPredict(t *testing.T) {
 	x, y := makeLinearData(50, 6, 3, 41)
 	net, err := New(Config{
@@ -34,7 +34,7 @@ func TestForwardBatchMatchesPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range want {
-			if !relClose(dst[s][j], want[j], 1e-12) {
+			if math.Float64bits(dst[s][j]) != math.Float64bits(want[j]) {
 				t.Fatalf("sample %d out %d: batch %v vs Predict %v", s, j, dst[s][j], want[j])
 			}
 		}
@@ -58,10 +58,9 @@ func TestForwardBatchMatchesPredict(t *testing.T) {
 }
 
 // TestForwardBatchRemainderRowsBitIdentical pins the one-row contract:
-// every row outside a full four-row block — all rows of a batch shorter
-// than four, and the last len%4 rows of a longer one — takes the
-// single-row kernel, so it equals Predict, and a layer-by-layer
-// forwardInto chain, bit for bit.
+// every row of every batch length, including those that fill a four-row
+// block, equals Predict and the dense reference chain (refForward) bit
+// for bit.
 func TestForwardBatchRemainderRowsBitIdentical(t *testing.T) {
 	x, y := makeLinearData(7, 6, 3, 17)
 	net, err := New(Config{
@@ -83,22 +82,15 @@ func TestForwardBatchRemainderRowsBitIdentical(t *testing.T) {
 		if err := net.ForwardBatch(x[:nb], dst, fs); err != nil {
 			t.Fatal(err)
 		}
-		for s := nb &^ 3; s < nb; s++ {
+		for s := 0; s < nb; s++ {
 			want, err := net.Predict(x[s])
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := x[s]
-			for _, l := range net.layers {
-				out := make([]float64, l.out)
-				l.forwardInto(a, out)
-				a = out
-			}
-			for j := range want {
-				if dst[s][j] != want[j] || a[j] != want[j] {
-					t.Fatalf("batch %d row %d out %d: ForwardBatch %v, Predict %v, forwardInto %v",
-						nb, s, j, dst[s][j], want[j], a[j])
-				}
+			ref := refForward(net, x[s])
+			if !sameBits(dst[s], want) || !sameBits(ref, want) {
+				t.Fatalf("batch %d row %d: ForwardBatch %v, Predict %v, reference %v",
+					nb, s, dst[s], want, ref)
 			}
 		}
 	}
@@ -123,10 +115,8 @@ func TestForwardBatchNilScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range want {
-		if !relClose(dst[4][j], want[j], 1e-12) {
-			t.Fatalf("out %d: batch %v vs Predict %v", j, dst[4][j], want[j])
-		}
+	if !sameBits(dst[4], want) {
+		t.Fatalf("batch %v vs Predict %v", dst[4], want)
 	}
 }
 
@@ -152,10 +142,8 @@ func TestForwardBatchScratchSurvivesShapeChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if !relClose(dst[0][j], want[j], 1e-12) {
-				t.Fatalf("shape %v out %d: batch %v vs Predict %v", shape, j, dst[0][j], want[j])
-			}
+		if !sameBits(dst[0], want) {
+			t.Fatalf("shape %v: batch %v vs Predict %v", shape, dst[0], want)
 		}
 	}
 }

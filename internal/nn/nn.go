@@ -35,6 +35,27 @@
 // so a budget trained in any number of session slices reproduces one
 // continuous call bit-for-bit.
 //
+// # Inference
+//
+// Inference has one kernel, dense.forwardInto, and ForwardBatch runs every
+// row of a batch through it one layer at a time, so a batch equals Predict
+// on each of its rows bit for bit. The training forward (gemmNT's
+// four-row blocks) sums in another order and stays as it is, so every
+// trained weight keeps its bits.
+//
+// forwardInto keeps the summation order of the dense dot product dotBias
+// (four lane accumulators, index mod 4; then the bias and the four lanes;
+// then the tail) but leaves out every term whose input is an exact zero,
+// which in a trained 4×256 model is about 60% of a hidden layer's inputs,
+// the ReLU's dead units. Each hidden layer lists its non-zero outputs by
+// lane, in ascending order, for the next layer. No output bit changes:
+// with finite weights a skipped term w·(±0) is ±0, and adding ±0 leaves
+// any sum unchanged except −0, which none of these sums can be. A lane
+// sum starts at +0, and in round-to-nearest x + y is −0 only when both
+// are −0, so it is never −0; the bias plus the first lane then is not
+// either, nor is any later partial sum. The first layer reads the scaled
+// features, which are seldom zero, through the dense loop.
+//
 // # Determinism policy
 //
 // The kernels are bit-reproducible: pure scalar kernels with frozen
@@ -265,9 +286,8 @@ func newLayers(cfg Config) (*Network, error) {
 func (n *Network) Config() Config { return n.cfg }
 
 // Predict runs a forward pass for one sample, returning a fresh slice. It
-// is a one-row ForwardBatch, so it shares the batch path's kernels and
-// pooled scratch: a single row always takes the per-row kernel
-// (dense.forwardInto), whose summation order is frozen.
+// is a one-row ForwardBatch, so it shares the batch path's kernel and
+// pooled scratch.
 func (n *Network) Predict(x []float64) ([]float64, error) {
 	out := make([]float64, n.cfg.Outputs)
 	if err := n.ForwardBatch([][]float64{x}, [][]float64{out}, nil); err != nil {
@@ -276,14 +296,13 @@ func (n *Network) Predict(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// forwardInto computes the layer output for one sample into out without
-// allocating, through the four-accumulator scalar dot. It is the one
-// single-row kernel: gemmNT runs every row outside a four-row block
-// through it, and its summation order is frozen, so single-sample
-// inference is bit-identical across engine versions.
-func (d *dense) forwardInto(x, out []float64) {
-	for o := 0; o < d.out; o++ {
-		s := dotBiasScalar(d.row(o), x, d.b[o])
+// denseInto computes the layer output for one sample from a dense input
+// into out without allocating, through the four-accumulator dotBias. The
+// inference kernel runs the first layer through it, and gemmNT every
+// training row outside a four-row block.
+func (d *dense) denseInto(x, out []float64) {
+	for o := range out {
+		s := dotBias(d.row(o), x, d.b[o])
 		if d.relu && s < 0 {
 			s = 0
 		}

@@ -235,10 +235,13 @@ func TestIngestBatchCancellationPartialResults(t *testing.T) {
 	}
 	batch := fleetsynth.Batch(24, 100, 44, 1)
 	ctx := &countdownCtx{Context: context.Background()}
-	// Each successful ingest burns 2 Err() checks (entry + recompute),
-	// and each worker burns one more per loop turn; 20 lets a handful of
-	// functions commit before the cancellation lands.
-	ctx.remaining.Store(20)
+	// All 24 functions recompute. Staging burns 2 Err() checks per
+	// function (the pool's claim + entry), the recompute phase 1, its
+	// PredictBatch 4 (two chunks, each a claim + a chunk check), and each
+	// Optimize job one claim: 48 + 1 + 4 = 53 checks before the first
+	// Optimize, so 65 lets 12 functions commit before the cancellation
+	// lands.
+	ctx.remaining.Store(65)
 	out, err := svc.IngestBatch(ctx, batch)
 	if err == nil {
 		t.Fatal("cancelled batch should error")

@@ -15,10 +15,13 @@
 // state is partitioned across Config.Shards independently locked shards
 // (FNV-1a hash of the function ID), so ingests for different functions
 // almost never contend; ingests for the same function serialize on its
-// shard. IngestBatch fans the batch out over a bounded worker pool
-// (Config.Workers). Every exported method — Ingest, IngestBatch, Status,
-// Fleet, Summarize, RecommendBatch — is safe to call concurrently with
-// every other.
+// shard. IngestBatch locks the shard of every function in its batch, in
+// ascending shard index, and holds them all for the whole call while its
+// phases fan out over a bounded worker pool (Config.Workers); Ingest holds
+// its one shard, and the readers take one shard at a time, so no two
+// callers ever wait on each other in a cycle. Every exported method —
+// Ingest, IngestBatch, Status, Fleet, Summarize, RecommendBatch — is safe
+// to call concurrently with every other.
 //
 // An ingest commits atomically: either the window is fully absorbed (and
 // any triggered recomputation applied), or — on error, including context
@@ -30,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -283,6 +287,8 @@ func (s *Service) shardIndex(functionID string) int {
 // half-updated window. A window that fails monitoring.ValidateWindow is
 // rejected before it is buffered: a bad invocation left in the pending
 // window would fail every later recomputation of the function.
+//
+// Ingest runs the staged steps of IngestBatch for one function.
 func (s *Service) Ingest(ctx context.Context, functionID string, invs []monitoring.Invocation) (Status, error) {
 	if functionID == "" {
 		return Status{}, errors.New("recommender: empty function ID")
@@ -290,137 +296,256 @@ func (s *Service) Ingest(ctx context.Context, functionID string, invs []monitori
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return Status{}, fmt.Errorf("recommender: %w", err)
-	}
-	if err := monitoring.ValidateWindow(invs); err != nil {
-		return Status{}, fmt.Errorf("recommender: %s: %w", functionID, err)
-	}
 	sh := &s.shards[s.shardIndex(functionID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	ings := [1]ingestion{{id: functionID, invs: invs, sh: sh}}
+	ing := &ings[0]
+	s.stageLocked(ctx, ing)
+	s.recomputeLocked(ctx, ings[:])
+	if s.commitLocked(ing) {
+		s.orderMu.Lock()
+		s.order = append(s.order, functionID)
+		s.orderMu.Unlock()
+	}
+	return ing.status, ing.err
+}
 
-	st, ok := sh.fns[functionID]
-	if !ok && len(invs) == 0 {
+// ingestion is one function's window on its way through the staged
+// steps: stageLocked buffers it and decides what it triggers,
+// recomputeLocked prices the recomputations, and commitLocked applies
+// the outcome to the function's state or leaves that state untouched.
+type ingestion struct {
+	id   string
+	invs []monitoring.Invocation
+	sh   *shard
+
+	st      *functionState // nil: an empty window for an unknown function
+	created bool           // st is new and not yet in sh.fns
+	pending []monitoring.Invocation
+	owned   bool // pending is service-owned storage (see functionState)
+
+	outcome outcome
+	shifted []monitoring.MetricShift
+	summary monitoring.Summary // the window's, when the outcome recomputes
+	rec     optimizer.Recommendation
+
+	err    error
+	status Status // the function's status after commitLocked
+}
+
+// outcome is what an ingested window does to its function.
+type outcome int
+
+// recomputes reports whether the staged ingestion still needs its
+// recommendation priced.
+func (ing *ingestion) recomputes() bool { return ing.err == nil && ing.outcome >= initial }
+
+// The outcomes from initial on recompute the recommendation.
+const (
+	buffered   outcome = iota // below MinWindow: keep accumulating
+	stationary                // no drift: discard the window, keep the baseline
+	initial                   // first recommendation
+	drifted                   // drift: recompute on the window, which becomes the baseline
+)
+
+// stageLocked checks and buffers one window and runs the drift state
+// machine on it, without changing the function's state: the window it
+// would leave pending and the outcome are kept in ing, and a
+// recomputation's summary is taken. The caller holds the function's shard
+// lock; stageLocked reads the shard's map but never writes it, so
+// functions of one shard may be staged concurrently.
+func (s *Service) stageLocked(ctx context.Context, ing *ingestion) {
+	if err := ctx.Err(); err != nil {
+		ing.err = fmt.Errorf("recommender: %w", err)
+		return
+	}
+	if err := monitoring.ValidateWindow(ing.invs); err != nil {
+		ing.err = fmt.Errorf("recommender: %s: %w", ing.id, err)
+		return
+	}
+	st, ok := ing.sh.fns[ing.id]
+	if !ok && len(ing.invs) == 0 {
 		// An empty ingest for an unknown function must not create state:
 		// registering here would leak an Observed: 0 phantom record into
 		// Fleet, Summarize, and the first-seen order.
-		return Status{FunctionID: functionID}, nil
+		return
 	}
-	created := false
 	if !ok {
-		st = &functionState{status: Status{FunctionID: functionID}}
-		sh.fns[functionID] = st
-		created = true
+		st = &functionState{status: Status{FunctionID: ing.id}}
+		ing.created = true
 	}
-	prevObserved := st.status.Observed
-	prevPending := st.pending
-	prevOwned := st.pendingOwned
-	st.status.Observed += len(invs)
-	switch {
+	ing.st = st
+	switch invs := ing.invs; {
 	case len(invs) == 0:
-		// Nothing to buffer.
+		ing.pending, ing.owned = st.pending, st.pendingOwned
 	case len(st.pending) == 0:
 		// Zero-copy fast path: adopt the caller's window. The common
 		// fleet case delivers whole windows, which are consumed (or
 		// discarded) before anything is ever appended to them.
-		st.pending = invs
-		st.pendingOwned = false
+		ing.pending, ing.owned = invs, false
 	case !st.pendingOwned:
 		// Accumulating onto an adopted window: copy it into
 		// service-owned storage first so the caller's data is never
 		// written through.
 		buf := make([]monitoring.Invocation, 0, len(st.pending)+len(invs))
 		buf = append(buf, st.pending...)
-		buf = append(buf, invs...)
-		st.pending = buf
-		st.pendingOwned = true
+		ing.pending, ing.owned = append(buf, invs...), true
 	default:
-		st.pending = append(st.pending, invs...)
+		// Appends write only past st.pending's length, so the state's
+		// own window is intact until commit.
+		ing.pending, ing.owned = append(st.pending, invs...), true
 	}
 
-	if err := s.advanceLocked(ctx, st); err != nil {
-		// Roll back: an ingest commits completely or not at all. The
-		// saved slice header restores the pre-call window (appends only
-		// wrote past its length, or into fresh storage), and a function
-		// created by this very call is removed again so no empty record
-		// leaks into the fleet.
-		st.status.Observed = prevObserved
-		st.pending = prevPending
-		st.pendingOwned = prevOwned
-		if created {
-			delete(sh.fns, functionID)
+	switch {
+	case len(ing.pending) < s.cfg.MinWindow:
+		ing.outcome = buffered
+		return
+	case !st.status.HasRecommendation:
+		ing.outcome = initial
+	default:
+		if st.baselinePrep == nil {
+			st.baselinePrep = monitoring.PrepareBaseline(st.baseline, monitoring.DriftDetectorConfig{})
 		}
-		return Status{}, err
+		report, err := monitoring.DetectDriftAgainst(st.baselinePrep, ing.pending, monitoring.DriftDetectorConfig{})
+		if err != nil {
+			ing.err = fmt.Errorf("recommender: %s: %w", ing.id, err)
+			return
+		}
+		if !report.Drifted() {
+			ing.outcome = stationary
+			return
+		}
+		ing.outcome, ing.shifted = drifted, report.Shifted
 	}
-	if created {
-		s.orderMu.Lock()
-		s.order = append(s.order, functionID)
-		s.orderMu.Unlock()
+	summary, err := monitoring.Summarize(ing.pending)
+	if err == nil {
+		err = core.CheckSummary(summary)
 	}
-	return st.status, nil
-}
-
-// advanceLocked runs the buffered→recommend→drift state machine for one
-// function. The caller holds the function's shard lock and rolls the state
-// back on error.
-func (s *Service) advanceLocked(ctx context.Context, st *functionState) error {
-	if len(st.pending) < s.cfg.MinWindow {
-		return nil
-	}
-	if !st.status.HasRecommendation {
-		return s.recomputeLocked(ctx, st, nil)
-	}
-	if st.baselinePrep == nil {
-		st.baselinePrep = monitoring.PrepareBaseline(st.baseline, monitoring.DriftDetectorConfig{})
-	}
-	report, err := monitoring.DetectDriftAgainst(st.baselinePrep, st.pending, monitoring.DriftDetectorConfig{})
 	if err != nil {
-		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
+		ing.err = fmt.Errorf("recommender: %s: %w", ing.id, err)
+		return
 	}
-	if !report.Drifted() {
-		// Stationary: discard the pending window, keep the baseline. (An
-		// empty pending always re-enters through the zero-copy adopt
-		// branch, so there is no point keeping owned storage around.)
-		st.pending = nil
-		st.pendingOwned = false
-		return nil
-	}
-	if err := s.recomputeLocked(ctx, st, report.Shifted); err != nil {
-		return err
-	}
-	st.status.Recomputations++
-	return nil
+	ing.summary = summary
 }
 
-// recomputeLocked refreshes the recommendation from st.pending and promotes
-// it to the new baseline. The caller holds the shard lock. All mutations
-// happen after the last fallible step, so a failed (or cancelled)
-// recomputation leaves the state untouched for the caller's rollback.
-func (s *Service) recomputeLocked(ctx context.Context, st *functionState, shifted []monitoring.MetricShift) error {
+// recomputeLocked prices every staged recomputation in ings: one
+// PredictBatch over their summaries, then one Optimize each, both spread
+// over the service's workers. PredictBatch equals Predict bit for bit, so
+// a function's recommendation does not depend on what it was batched
+// with, and a lone recomputation (every Ingest) calls Predict, without
+// the batch bookkeeping. The caller holds the shard lock of every
+// function in ings.
+func (s *Service) recomputeLocked(ctx context.Context, ings []ingestion) {
+	n, last := 0, 0
+	for i := range ings {
+		if ings[i].recomputes() {
+			n, last = n+1, i
+		}
+	}
+	if n == 0 {
+		return
+	}
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("recommender: %s: recompute cancelled: %w", st.status.FunctionID, err)
+		for i := range ings {
+			if ings[i].recomputes() {
+				ings[i].err = fmt.Errorf("recommender: %s: recompute cancelled: %w", ings[i].id, err)
+			}
+		}
+		return
 	}
-	summary, err := monitoring.Summarize(st.pending)
-	if err != nil {
-		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
+	model := s.model.Load()
+	if n == 1 {
+		ing := &ings[last]
+		times, err := model.Predict(ing.summary)
+		if err == nil {
+			ing.rec, err = optimizer.Optimize(times, s.cfg.Pricing, *s.cfg.Tradeoff)
+		}
+		if err != nil {
+			ing.err = fmt.Errorf("recommender: %s: %w", ing.id, err)
+		}
+		return
 	}
-	times, err := s.model.Load().Predict(summary)
-	if err != nil {
-		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
+	todo := make([]int, 0, n)
+	sums := make([]monitoring.Summary, 0, n)
+	for i := range ings {
+		if ings[i].recomputes() {
+			todo = append(todo, i)
+			sums = append(sums, ings[i].summary)
+		}
 	}
-	rec, err := optimizer.Optimize(times, s.cfg.Pricing, *s.cfg.Tradeoff)
-	if err != nil {
-		return fmt.Errorf("recommender: %s: %w", st.status.FunctionID, err)
+	times, err := model.PredictBatch(ctx, sums, s.cfg.Workers)
+	recs := make([]optimizer.Recommendation, len(todo))
+	errs := make([]error, len(todo))
+	if err == nil {
+		reached := make([]bool, len(todo))
+		err = pool.Run(ctx, len(todo), s.cfg.Workers, func(k int) error {
+			reached[k] = true
+			recs[k], errs[k] = optimizer.Optimize(times[k], s.cfg.Pricing, *s.cfg.Tradeoff)
+			return nil
+		})
+		if err != nil {
+			// Only a cancelled ctx stops the pool: the jobs it never
+			// started are recomputations cut off.
+			err = fmt.Errorf("recompute cancelled: %w", err)
+			for k := range errs {
+				if !reached[k] {
+					errs[k] = err
+				}
+			}
+		}
+	} else {
+		for k := range errs {
+			errs[k] = err
+		}
 	}
-	st.status.HasRecommendation = true
-	st.status.Recommendation = rec
-	st.status.LastDrift = shifted
-	st.baseline = st.pending
-	st.baselinePrep = nil // new baseline: sorted ranks rebuilt on next check
-	st.pending = nil
-	st.pendingOwned = false
-	return nil
+	for k, i := range todo {
+		if errs[k] != nil {
+			ings[i].err = fmt.Errorf("recommender: %s: %w", ings[i].id, errs[k])
+		}
+		ings[i].rec = recs[k]
+	}
+}
+
+// commitLocked applies a staged ingestion to its function's state, or, if
+// any step failed, leaves that state exactly as it was (a function this
+// ingestion would have created is never registered). It records the
+// function's status in ing and reports whether the function is new, so
+// the caller can append it to the first-seen order. The caller holds the
+// function's shard lock, and no other goroutine works on its shard.
+func (s *Service) commitLocked(ing *ingestion) (created bool) {
+	st := ing.st
+	if ing.err != nil {
+		return false
+	}
+	if st == nil {
+		ing.status = Status{FunctionID: ing.id}
+		return false
+	}
+	st.status.Observed += len(ing.invs)
+	st.pending, st.pendingOwned = ing.pending, ing.owned
+	switch ing.outcome {
+	case stationary:
+		// Discard the pending window, keep the baseline. (An empty
+		// pending always re-enters through the zero-copy adopt branch, so
+		// there is no point keeping owned storage around.)
+		st.pending, st.pendingOwned = nil, false
+	case initial, drifted:
+		st.status.HasRecommendation = true
+		st.status.Recommendation = ing.rec
+		st.status.LastDrift = ing.shifted
+		st.baseline = st.pending
+		st.baselinePrep = nil // new baseline: sorted ranks rebuilt on next check
+		st.pending, st.pendingOwned = nil, false
+		if ing.outcome == drifted {
+			st.status.Recomputations++
+		}
+	}
+	if ing.created {
+		ing.sh.fns[ing.id] = st
+	}
+	ing.status = st.status
+	return ing.created
 }
 
 // Status returns the tracked state of one function.
@@ -493,11 +618,16 @@ func (s *Service) Summarize() FleetSummary {
 	return out
 }
 
-// IngestBatch feeds monitoring windows for many functions concurrently —
-// the fleet-scale hot path. Functions fan out over a worker pool bounded by
-// Config.Workers (0 = GOMAXPROCS); each function's ingest runs under its
-// own shard lock, so the drift detector and any recomputation execute in
-// parallel across functions.
+// IngestBatch feeds monitoring windows for many functions — the
+// fleet-scale hot path — in three phases. First every function's window
+// is checked, buffered, drift-checked and, if it triggers a
+// recomputation, summarized, all in parallel over a worker pool bounded
+// by Config.Workers (0 = GOMAXPROCS). Then every recomputation is priced
+// at once: one PredictBatch over their summaries and one Optimize each,
+// in parallel chunks. Last, each function's outcome is committed, or
+// rolled back if a step failed, in sorted-ID order. For the whole call
+// IngestBatch holds the shard lock of every function in the batch (see
+// the package comment). Each function ends as Ingest would leave it.
 //
 // The returned map holds the status of every successfully ingested
 // function. A per-function error does not stop the rest of the batch; the
@@ -523,26 +653,67 @@ func (s *Service) IngestBatch(ctx context.Context, batch map[string][]monitoring
 		return out, nil
 	}
 
-	// Fan out over the shared bounded pool: per-function ingests claim
-	// sorted IDs in index order, so pool.Run's lowest-index-error contract
-	// is exactly the "first function in sorted-ID order" guarantee above.
-	var mu sync.Mutex
-	err := pool.Run(ctx, len(ids), s.cfg.Workers, func(i int) error {
-		id := ids[i]
-		st, err := s.Ingest(ctx, id, batch[id])
-		if err != nil {
-			return err
+	ings := make([]ingestion, len(ids))
+	held := make([]int, 0, len(ids))
+	for i, id := range ids {
+		k := s.shardIndex(id)
+		ings[i] = ingestion{id: id, invs: batch[id], sh: &s.shards[k]}
+		held = append(held, k)
+	}
+	sort.Ints(held)
+	held = slices.Compact(held)
+	for _, k := range held {
+		s.shards[k].mu.Lock()
+	}
+	defer func() {
+		for _, k := range held {
+			s.shards[k].mu.Unlock()
 		}
-		mu.Lock()
-		out[id] = st
-		mu.Unlock()
+	}()
+
+	// Phase 1. Functions claim jobs in sorted-ID order; one the pool
+	// never starts, because ctx was cancelled, fails with the context's
+	// error and changes nothing.
+	reached := make([]bool, len(ings))
+	if err := pool.Run(ctx, len(ings), s.cfg.Workers, func(i int) error {
+		reached[i] = true
+		s.stageLocked(ctx, &ings[i])
 		return nil
-	})
+	}); err != nil {
+		for i := range ings {
+			if !reached[i] {
+				ings[i].err = err
+			}
+		}
+	}
+	// Phase 2.
+	s.recomputeLocked(ctx, ings)
+	// Phase 3.
+	var created []string
+	var err error
+	for i := range ings {
+		ing := &ings[i]
+		if s.commitLocked(ing) {
+			created = append(created, ing.id)
+		}
+		if ing.err != nil {
+			if err == nil {
+				err = ing.err
+			}
+			continue
+		}
+		out[ing.id] = ing.status
+	}
+	if len(created) > 0 {
+		s.orderMu.Lock()
+		s.order = append(s.order, created...)
+		s.orderMu.Unlock()
+	}
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			// Wrap the job's own error, not the bare ctx.Err(): a cut-off
-			// recompute's error names the function it interrupted, and that
-			// context must survive into the %w chain.
+			// Wrap the function's own error, not the bare ctx.Err(): a
+			// cut-off recompute's error names the function it interrupted,
+			// and that context must survive into the %w chain.
 			err = fmt.Errorf("recommender: batch ingest cancelled: %w", err)
 		}
 		return out, err

@@ -79,6 +79,9 @@ type Instance struct {
 	speedFactor float64
 	snap        monitoring.Snapshot
 	initialized bool
+	// lag is the event-loop lag buffer, reused by every invocation (an
+	// instance serves one invocation at a time).
+	lag []float64
 }
 
 var _ monitoring.Probe = (*Instance)(nil)
@@ -159,7 +162,7 @@ func (i *Instance) Invoke() (time.Duration, monitoring.LagSample, error) {
 	noise := i.spec.NoiseCoV
 	drift := i.env.drift()
 
-	st := execState{heapMB: i.spec.BaseHeapMB}
+	st := execState{heapMB: i.spec.BaseHeapMB, lagSamples: i.lag[:0]}
 
 	// Event payload arrives over the instance's network interface.
 	i.receive(&st, i.spec.PayloadKB)
@@ -174,6 +177,7 @@ func (i *Instance) Invoke() (time.Duration, monitoring.LagSample, error) {
 	i.transmit(&st, i.spec.ResponseKB)
 
 	i.finishInvocation(&st)
+	i.lag = st.lagSamples
 	lag := lagStats(st.lagSamples, i.rng)
 	dur := msToDur(st.wallMs)
 	return dur, lag, nil

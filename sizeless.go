@@ -291,8 +291,8 @@ func (p *Predictor) Predict(s Summary) (map[MemorySize]float64, error) {
 // the fleet-scale hot path. Feature extraction and scaling are amortized
 // into single matrix operations and the forward passes run concurrently
 // (bounded by WithWorkers at training/load time). Results align
-// positionally with sums and match calling Predict per summary: bit for
-// bit outside the kernels' four-row blocks, within a few ULPs inside them.
+// positionally with sums and equal calling Predict per summary, bit for
+// bit.
 func (p *Predictor) PredictBatch(ctx context.Context, sums []Summary) ([]map[MemorySize]float64, error) {
 	out, err := p.model.PredictBatch(ctx, sums, p.workers)
 	if err != nil {

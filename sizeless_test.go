@@ -143,16 +143,15 @@ func TestPredictBatchMatchesLoop(t *testing.T) {
 	if len(batch) != len(sums) {
 		t.Fatalf("batch returned %d results, want %d", len(batch), len(sums))
 	}
-	// The batch path uses a reassociated (but deterministic) summation for
-	// speed, so allow a few ULPs of drift against the scalar path.
-	const relTol = 1e-9
+	// Every batched row takes the single-row kernel, so the batch equals
+	// Predict bit for bit.
 	for i, s := range sums {
 		single, err := pred.Predict(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for m, v := range single {
-			if diff := math.Abs(batch[i][m] - v); diff > relTol*math.Abs(v) {
+			if math.Float64bits(batch[i][m]) != math.Float64bits(v) {
 				t.Fatalf("batch[%d] differs from Predict at %v: %v vs %v", i, m, batch[i][m], v)
 			}
 		}
