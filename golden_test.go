@@ -36,7 +36,7 @@ import (
 // say so in the change description.
 const (
 	goldenFingerprint   = "c02f7c9d05b7dc7e"
-	goldenRecommendSHA  = "9462b1338306fdb1a775d9f3d5511cc70fbada4733a71baac607945ea076ca1e"
+	goldenRecommendSHA  = "380902b0cbc3e57868c64e089c295349afcd6cf071d817582a41cc91b0d5b220"
 	goldenStreamSHA     = "9809f8fb9e867386c04cb638a5e016d26a1dfc74dc313ae0d94b3790e198b837"
 	goldenStreamColdCnt = 80
 	goldenPredictSHA    = "b6350ad57c158b50159457408910c7f199f525d4578e4c73b9f4ac31523e7d9e"
