@@ -82,9 +82,10 @@
 // fleet-scale concurrent ingestion. Per-function tracking state is
 // partitioned across WithShards independently locked shards (default 32,
 // FNV-1a hash of the function ID), and Service.IngestBatch fans a batch of
-// monitoring windows out over a WithWorkers pool, so drift detection and
-// recomputation run in parallel across functions. Every exported Service
-// method is safe to call concurrently with every other.
+// monitoring windows out over a WithWorkers pool: drift detection runs in
+// parallel across functions, and the batch's recomputations are predicted
+// together in one PredictBatch. Every exported Service method is safe to
+// call concurrently with every other.
 //
 // Ingestion commits atomically per function: on any error — including
 // context cancellation observed before a triggered recomputation — the
