@@ -239,37 +239,18 @@ func nonZero(v float64) int {
 }
 
 // dotBias returns b + w·row for the row z lists, term for term in
-// dotBias's order with the zero terms left out. The four lanes advance
-// together while all have entries, so their sums stay independent
-// dependency chains, as in the dense loop.
+// dotBias's order with the zero terms left out: each lane j < 4 summed
+// from +0, then the bias and the four lane sums, then the tail.
 func (z *lanes) dotBias(w []float64, b float64) float64 {
-	q := z.q
-	i0, v0 := z.idx[:z.n[0]], z.val[:z.n[0]]
-	i1, v1 := z.idx[q:q+z.n[1]], z.val[q:q+z.n[1]]
-	i2, v2 := z.idx[2*q:2*q+z.n[2]], z.val[2*q:2*q+z.n[2]]
-	i3, v3 := z.idx[3*q:3*q+z.n[3]], z.val[3*q:3*q+z.n[3]]
-	m := min(len(i0), len(i1), len(i2), len(i3))
-	var s0, s1, s2, s3 float64
-	for k := 0; k < m; k++ {
-		s0 += w[i0[k]] * v0[k]
-		s1 += w[i1[k]] * v1[k]
-		s2 += w[i2[k]] * v2[k]
-		s3 += w[i3[k]] * v3[k]
+	s := b
+	for j := 0; j < 4; j++ {
+		var sj float64
+		for k, i := range z.idx[j*z.q : j*z.q+z.n[j]] {
+			sj += w[i] * z.val[j*z.q+k]
+		}
+		s += sj
 	}
-	for k := m; k < len(i0); k++ {
-		s0 += w[i0[k]] * v0[k]
-	}
-	for k := m; k < len(i1); k++ {
-		s1 += w[i1[k]] * v1[k]
-	}
-	for k := m; k < len(i2); k++ {
-		s2 += w[i2[k]] * v2[k]
-	}
-	for k := m; k < len(i3); k++ {
-		s3 += w[i3[k]] * v3[k]
-	}
-	s := b + s0 + s1 + s2 + s3
-	n4 := 4 * q
+	n4 := 4 * z.q
 	for k, i := range z.idx[n4 : n4+z.n[4]] {
 		s += w[i] * z.val[n4+k]
 	}

@@ -34,19 +34,26 @@ func Run(ctx context.Context, n, workers int, fn func(i int) error) error {
 		ctx = context.Background()
 	}
 	workers = bound(workers, n)
-	errs := make([]error, n)
 	if workers == 1 {
-		// Inline fast path: no goroutine, no atomics — the common shape on
-		// a single-core host and inside nested pools.
+		// Inline fast path: no goroutine, no atomics, no error slice — the
+		// common shape on a single-core host and inside nested pools. Jobs
+		// run in index order, so the first error seen is the
+		// lowest-indexed.
+		var first error
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				errs[i] = err
+				if first == nil {
+					first = err
+				}
 				break
 			}
-			errs[i] = fn(i)
+			if err := fn(i); err != nil && first == nil {
+				first = err
+			}
 		}
-		return firstErr(errs)
+		return first
 	}
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -31,17 +31,19 @@ func TestRunExecutesEveryJob(t *testing.T) {
 func TestRunReturnsLowestIndexedError(t *testing.T) {
 	boom := errors.New("boom")
 	later := errors.New("later")
-	err := Run(context.Background(), 8, 4, func(i int) error {
-		switch i {
-		case 2:
-			return boom
-		case 6:
-			return later
+	for _, workers := range []int{1, 4} {
+		err := Run(context.Background(), 8, workers, func(i int) error {
+			switch i {
+			case 2:
+				return boom
+			case 6:
+				return later
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("workers=%d: got %v, want the lowest-indexed error", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("got %v, want the lowest-indexed error", err)
 	}
 }
 
@@ -56,19 +58,39 @@ func TestRunEmptyAndNilCtx(t *testing.T) {
 }
 
 func TestRunCancellationStopsNewJobs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int32
+		err := Run(ctx, 100, workers, func(i int) error {
+			if started.Add(1) == 3 {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if got := started.Load(); got >= 100 {
+			t.Errorf("workers=%d: cancellation did not stop job claims: %d started", workers, got)
+		}
+	}
+}
+
+// TestRunInlineJobErrorBeatsCancellation: with one worker, a job that
+// fails before ctx is cancelled has the lower index, so its error wins.
+func TestRunInlineJobErrorBeatsCancellation(t *testing.T) {
+	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int32
-	err := Run(ctx, 100, 2, func(i int) error {
-		if started.Add(1) == 3 {
+	defer cancel()
+	err := Run(ctx, 5, 1, func(i int) error {
+		if i == 1 {
 			cancel()
+			return boom
 		}
 		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("got %v, want context.Canceled", err)
-	}
-	if got := started.Load(); got >= 100 {
-		t.Errorf("cancellation did not stop job claims: %d started", got)
+	if !errors.Is(err, boom) {
+		t.Errorf("got %v, want the failed job's error", err)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // outcome of the ingest state machine: initial recommendations, buffering
 // below MinWindow and accumulating onto a buffered window, stationary
 // windows, a 3× drift round that recomputes, a NaN-poisoned window, an
-// empty window for an unknown and for a known function, and a window
-// whose execution time is all zero, so its recompute fails.
+// empty window for an unknown and for a known function, a full window
+// under the empty function ID, and a window whose execution time is all
+// zero, so its recompute fails.
 func stagedRounds() []map[string][]monitoring.Invocation {
 	rng := xrand.New(53)
 	var rounds []map[string][]monitoring.Invocation
@@ -29,6 +30,9 @@ func stagedRounds() []map[string][]monitoring.Invocation {
 	// Round 0 starts a function below MinWindow, round 1 completes it.
 	rounds[0]["partial"] = fleetsynth.Window(rng.Derive("partial-a"), 12, 1)
 	rounds[1]["partial"] = fleetsynth.Window(rng.Derive("partial-b"), 12, 1)
+	// Round 2: a window large enough to recommend on, under an ID that
+	// must never be registered.
+	rounds[2][""] = fleetsynth.Window(rng.Derive("no-id"), 30, 1)
 	// Round 3: one NaN invocation, an empty window for an unknown
 	// function and one for a known function.
 	rounds[3]["fleet-fn-0004"][5].Metrics[monitoring.ExecutionTime] = math.NaN()
@@ -76,7 +80,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			wantOut[r][id] = st
 		}
 	}
-	if wantErr[3] == "" || wantErr[4] == "" {
+	if wantErr[2] == "" || wantErr[3] == "" || wantErr[4] == "" {
 		t.Fatalf("the poisoned rounds ingested cleanly: %q", wantErr)
 	}
 	wantFleet, err := json.Marshal(ref.Fleet())
@@ -108,6 +112,9 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		}
 		if !bytes.Equal(fleet, wantFleet) {
 			t.Errorf("workers=%d: Fleet JSON differs from Ingest's\n got %s\nwant %s", workers, fleet, wantFleet)
+		}
+		if _, err := svc.Status(""); err == nil {
+			t.Errorf("workers=%d: the empty function ID was registered", workers)
 		}
 	}
 }

@@ -13,15 +13,17 @@
 //
 // The service is built for fleet-scale concurrent ingestion. Per-function
 // state is partitioned across Config.Shards independently locked shards
-// (FNV-1a hash of the function ID), so ingests for different functions
-// almost never contend; ingests for the same function serialize on its
-// shard. IngestBatch locks the shard of every function in its batch, in
-// ascending shard index, and holds them all for the whole call while its
-// phases fan out over a bounded worker pool (Config.Workers); Ingest holds
-// its one shard, and the readers take one shard at a time, so no two
-// callers ever wait on each other in a cycle. Every exported method —
-// Ingest, IngestBatch, Status, Fleet, Summarize, RecommendBatch — is safe
-// to call concurrently with every other.
+// (FNV-1a hash of the function ID), so Ingest calls for functions on
+// different shards never contend; ingests for the same function serialize
+// on its shard. IngestBatch locks the shard of every function in its
+// batch, in ascending shard index, and holds them all for the whole call
+// while its phases fan out over a bounded worker pool (Config.Workers):
+// every ingest and reader on those shards waits for the whole batch,
+// predictions and optimizations included. Ingest holds its one shard,
+// and the readers take one shard at a time, so no two callers ever wait
+// on each other in a cycle. Every exported method — Ingest, IngestBatch,
+// Status, Fleet, Summarize, RecommendBatch — is safe to call concurrently
+// with every other.
 //
 // An ingest commits atomically: either the window is fully absorbed (and
 // any triggered recomputation applied), or — on error, including context
@@ -290,9 +292,6 @@ func (s *Service) shardIndex(functionID string) int {
 //
 // Ingest runs the staged steps of IngestBatch for one function.
 func (s *Service) Ingest(ctx context.Context, functionID string, invs []monitoring.Invocation) (Status, error) {
-	if functionID == "" {
-		return Status{}, errors.New("recommender: empty function ID")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -356,6 +355,10 @@ const (
 // lock; stageLocked reads the shard's map but never writes it, so
 // functions of one shard may be staged concurrently.
 func (s *Service) stageLocked(ctx context.Context, ing *ingestion) {
+	if ing.id == "" {
+		ing.err = errors.New("recommender: empty function ID")
+		return
+	}
 	if err := ctx.Err(); err != nil {
 		ing.err = fmt.Errorf("recommender: %w", err)
 		return
@@ -433,14 +436,12 @@ func (s *Service) stageLocked(ctx context.Context, ing *ingestion) {
 // PredictBatch over their summaries, then one Optimize each, both spread
 // over the service's workers. PredictBatch equals Predict bit for bit, so
 // a function's recommendation does not depend on what it was batched
-// with, and a lone recomputation (every Ingest) calls Predict, without
-// the batch bookkeeping. The caller holds the shard lock of every
-// function in ings.
+// with. The caller holds the shard lock of every function in ings.
 func (s *Service) recomputeLocked(ctx context.Context, ings []ingestion) {
-	n, last := 0, 0
+	n := 0
 	for i := range ings {
 		if ings[i].recomputes() {
-			n, last = n+1, i
+			n++
 		}
 	}
 	if n == 0 {
@@ -454,56 +455,44 @@ func (s *Service) recomputeLocked(ctx context.Context, ings []ingestion) {
 		}
 		return
 	}
-	model := s.model.Load()
-	if n == 1 {
-		ing := &ings[last]
-		times, err := model.Predict(ing.summary)
-		if err == nil {
-			ing.rec, err = optimizer.Optimize(times, s.cfg.Pricing, *s.cfg.Tradeoff)
-		}
-		if err != nil {
-			ing.err = fmt.Errorf("recommender: %s: %w", ing.id, err)
-		}
-		return
+	// The jobs write their own pricing, not ings, so a caller's ings can
+	// stay on its stack.
+	type pricing struct {
+		i       int // the ingestion's index in ings
+		rec     optimizer.Recommendation
+		err     error
+		started bool
 	}
-	todo := make([]int, 0, n)
+	jobs := make([]pricing, 0, n)
 	sums := make([]monitoring.Summary, 0, n)
 	for i := range ings {
 		if ings[i].recomputes() {
-			todo = append(todo, i)
+			jobs = append(jobs, pricing{i: i})
 			sums = append(sums, ings[i].summary)
 		}
 	}
-	times, err := model.PredictBatch(ctx, sums, s.cfg.Workers)
-	recs := make([]optimizer.Recommendation, len(todo))
-	errs := make([]error, len(todo))
+	times, err := s.model.Load().PredictBatch(ctx, sums, s.cfg.Workers)
 	if err == nil {
-		reached := make([]bool, len(todo))
-		err = pool.Run(ctx, len(todo), s.cfg.Workers, func(k int) error {
-			reached[k] = true
-			recs[k], errs[k] = optimizer.Optimize(times[k], s.cfg.Pricing, *s.cfg.Tradeoff)
+		err = pool.Run(ctx, n, s.cfg.Workers, func(k int) error {
+			j := &jobs[k]
+			j.started = true
+			j.rec, j.err = optimizer.Optimize(times[k], s.cfg.Pricing, *s.cfg.Tradeoff)
 			return nil
 		})
+		// Only a cancelled ctx stops the pool: the jobs it never started
+		// are recomputations cut off.
 		if err != nil {
-			// Only a cancelled ctx stops the pool: the jobs it never
-			// started are recomputations cut off.
 			err = fmt.Errorf("recompute cancelled: %w", err)
-			for k := range errs {
-				if !reached[k] {
-					errs[k] = err
-				}
-			}
-		}
-	} else {
-		for k := range errs {
-			errs[k] = err
 		}
 	}
-	for k, i := range todo {
-		if errs[k] != nil {
-			ings[i].err = fmt.Errorf("recommender: %s: %w", ings[i].id, errs[k])
+	for _, j := range jobs {
+		if !j.started { // PredictBatch failed, or ctx stopped the pool first
+			j.err = err
 		}
-		ings[i].rec = recs[k]
+		if j.err != nil {
+			ings[j.i].err = fmt.Errorf("recommender: %s: %w", ings[j.i].id, j.err)
+		}
+		ings[j.i].rec = j.rec
 	}
 }
 
