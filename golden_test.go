@@ -56,6 +56,9 @@ const (
 	goldenAdaptFingerprint     = "9b9a12b2d8479f51"
 	goldenAdaptEpochsSpent     = 15
 	goldenAdaptEarlyStopped    = true
+
+	// Training at the paper's 4 × 256 shape, ensemble of 3.
+	goldenPaperShapeFingerprint = "2e3e29c42b8f387d"
 )
 
 // goldenColdFractions are the exact ColdFraction values for the golden
@@ -248,6 +251,44 @@ func TestGoldenPredictorPerSeed(t *testing.T) {
 	}
 	if got := sha256Hex(raw); got != goldenFleetSHA {
 		t.Errorf("Fleet JSON sha256 = %s, want %s", got, goldenFleetSHA)
+	}
+}
+
+// TestGoldenPaperShapePerSeed pins a model trained at the paper's shape,
+// four hidden layers of 256, an ensemble of three, for a few epochs. The
+// other predictor pins train narrow layers; this one runs the training
+// kernels at the width every served model has. Its 38 training rows make
+// a full batch of 32 and a last batch of 6, whose final two rows fall
+// outside the four-row blocks.
+func TestGoldenPaperShapePerSeed(t *testing.T) {
+	ctx := context.Background()
+	train, err := sizeless.GenerateDataset(ctx,
+		sizeless.WithFunctions(38),
+		sizeless.WithRate(5),
+		sizeless.WithDuration(2*time.Second),
+		sizeless.WithSeed(11),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(train.Rows); n%32%4 == 0 {
+		t.Fatalf("%d training rows leave no remainder rows in the last batch", n)
+	}
+	pred, err := sizeless.TrainPredictor(ctx, train,
+		sizeless.WithHidden(256, 256, 256, 256),
+		sizeless.WithEpochs(4),
+		sizeless.WithEnsembleSize(3),
+		sizeless.WithSeed(11),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := pred.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != goldenPaperShapeFingerprint {
+		t.Errorf("paper-shape model fingerprint = %s, want %s", fp, goldenPaperShapeFingerprint)
 	}
 }
 
