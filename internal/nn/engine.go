@@ -9,11 +9,12 @@ import (
 )
 
 // TrainScratch holds every buffer one mini-batch training step needs:
-// the gathered input batch, per-layer activation and delta matrices, and
-// per-layer gradient accumulators. Buffers grow on demand and are retained
-// across epochs, networks, and shapes, so the steady-state epoch loop
-// performs zero allocations — the training-side mirror of the pooled
-// features.Extractor on the inference path.
+// the gathered input batch, one row's list of non-zero inputs, per-layer
+// activation and delta matrices, and per-layer gradient accumulators.
+// Buffers grow on demand and are retained across epochs, networks, and
+// shapes, so the steady-state epoch loop performs zero allocations — the
+// training-side mirror of the pooled features.Extractor on the inference
+// path.
 //
 // Ownership rules: a TrainScratch must not be shared across goroutines
 // (each concurrent trainer takes its own, typically from the internal
@@ -26,6 +27,8 @@ type TrainScratch struct {
 	delta [][]float64    // dL/dZ per layer, batch×out
 	gradW [][]float64    // per-layer weight-gradient accumulator, out×in
 	gradB [][]float64    // per-layer bias-gradient accumulator, out
+	nzIdx []int32        // one row's non-zero inputs, ascending: indices
+	nzVal []float64      // and values; len = the widest layer input
 	perm  []int          // epoch shuffle order, len(x)
 	val   ForwardScratch // one-row forward buffers of the validation pass
 }
@@ -37,12 +40,19 @@ func (ts *TrainScratch) ensure(n *Network, batch int) {
 	ts.delta = growMatrix(ts.delta, len(n.layers))
 	ts.gradW = growMatrix(ts.gradW, len(n.layers))
 	ts.gradB = growMatrix(ts.gradB, len(n.layers))
+	wide := 0
 	for li, l := range n.layers {
+		wide = max(wide, l.in)
 		ts.acts[li] = growFloats(ts.acts[li], batch*l.out)
 		ts.delta[li] = growFloats(ts.delta[li], batch*l.out)
 		ts.gradW[li] = growFloats(ts.gradW[li], len(l.w))
 		ts.gradB[li] = growFloats(ts.gradB[li], l.out)
 	}
+	if cap(ts.nzIdx) < wide {
+		ts.nzIdx = make([]int32, wide)
+	}
+	ts.nzIdx = ts.nzIdx[:wide]
+	ts.nzVal = growFloats(ts.nzVal, wide)
 }
 
 func growFloats(buf []float64, n int) []float64 {
@@ -109,12 +119,12 @@ func (n *Network) trainBatch(x, y [][]float64, batch []int, ts *TrainScratch) fl
 		copy(xb[s*ins:(s+1)*ins], x[idx])
 	}
 
-	// Forward: one fused GEMM (x·wᵀ + bias, ReLU on hidden layers) per
-	// layer over the whole batch. Only post-activations are retained; the
-	// ReLU mask is recovered from them (a > 0 ⟺ z > 0).
+	// Forward: x·wᵀ + bias, ReLU on hidden layers, per layer over the
+	// whole batch, skipping zero inputs. Only post-activations are
+	// retained; the ReLU mask is recovered from them (a > 0 ⟺ z > 0).
 	in := xb
 	for li, l := range n.layers {
-		l.gemmNT(ts.acts[li][:nb*l.out], in, nb)
+		l.trainForward(ts.acts[li][:nb*l.out], in, nb, ts.nzIdx, ts.nzVal)
 		in = ts.acts[li][:nb*l.out]
 	}
 
@@ -240,87 +250,86 @@ func (n *Network) applyGradients(ts *TrainScratch, invBs float64) {
 	}
 }
 
-// gemmNT computes the layer over a batch, dst = x·wᵀ + bias (x: n×k,
-// w: m×k, dst: n×m with k = d.in and m = d.out, all row-major flat),
-// clamping negatives to zero on hidden layers (fused ReLU). The
-// micro-kernel processes four samples per weight-row pass, so each
-// 8·k-byte weight row streams from cache once per four samples instead of
-// once per sample — the cache-blocking that makes the mini-batch engine
-// beat the retired per-sample loop on a single core.
-func (d *dense) gemmNT(dst, x []float64, n int) {
-	m, k, w, bias, relu := d.out, d.in, d.w, d.b, d.relu
-	s := 0
-	for ; s+4 <= n; s += 4 {
-		x0 := x[(s+0)*k : (s+1)*k]
-		x1 := x[(s+1)*k : (s+2)*k]
-		x2 := x[(s+2)*k : (s+3)*k]
-		x3 := x[(s+3)*k : (s+4)*k]
-		d0 := dst[(s+0)*m : (s+1)*m]
-		d1 := dst[(s+1)*m : (s+2)*m]
-		d2 := dst[(s+2)*m : (s+3)*m]
-		d3 := dst[(s+3)*m : (s+4)*m]
-		o := 0
-		// 4×2 register block: two weight rows share each loaded input
-		// value, doubling the flops per load over a 4×1 kernel.
-		for ; o+2 <= m; o += 2 {
-			wa := w[(o+0)*k : (o+1)*k]
-			// Reslice every co-indexed row to wa's length so the compiler
-			// drops the five per-iteration bounds checks.
-			wb := w[(o+1)*k : (o+1)*k+k][:len(wa)]
-			y0, y1, y2, y3 := x0[:len(wa)], x1[:len(wa)], x2[:len(wa)], x3[:len(wa)]
-			var a0, a1, a2, a3, b0, b1, b2, b3 float64
-			for i, wav := range wa {
-				wbv := wb[i]
-				v0, v1, v2, v3 := y0[i], y1[i], y2[i], y3[i]
-				a0 += v0 * wav
-				a1 += v1 * wav
-				a2 += v2 * wav
-				a3 += v3 * wav
-				b0 += v0 * wbv
-				b1 += v1 * wbv
-				b2 += v2 * wbv
-				b3 += v3 * wbv
-			}
-			ba, bb := bias[o], bias[o+1]
-			a0 += ba
-			a1 += ba
-			a2 += ba
-			a3 += ba
-			b0 += bb
-			b1 += bb
-			b2 += bb
-			b3 += bb
-			if relu {
-				a0, a1, a2, a3 = relu0(a0), relu0(a1), relu0(a2), relu0(a3)
-				b0, b1, b2, b3 = relu0(b0), relu0(b1), relu0(b2), relu0(b3)
-			}
-			d0[o], d1[o], d2[o], d3[o] = a0, a1, a2, a3
-			d0[o+1], d1[o+1], d2[o+1], d3[o+1] = b0, b1, b2, b3
-		}
-		for ; o < m; o++ {
-			wo := w[o*k : o*k+k]
-			var c0, c1, c2, c3 float64
-			for i, wv := range wo {
-				c0 += x0[i] * wv
-				c1 += x1[i] * wv
-				c2 += x2[i] * wv
-				c3 += x3[i] * wv
-			}
-			bv := bias[o]
-			c0 += bv
-			c1 += bv
-			c2 += bv
-			c3 += bv
-			if relu {
-				c0, c1, c2, c3 = relu0(c0), relu0(c1), relu0(c2), relu0(c3)
-			}
-			d0[o], d1[o], d2[o], d3[o] = c0, c1, c2, c3
-		}
+// trainForward computes the layer over a batch, dst = x·wᵀ + bias (x:
+// n×k, w: m×k, dst: n×m with k = d.in and m = d.out, all row-major flat),
+// clamping negatives to zero on hidden layers (fused ReLU). It is the
+// training forward of every layer. Each of the first n&^3 rows lists its
+// non-zero inputs in idx and val (len ≥ k), in ascending order, and each
+// of its outputs sums only those terms: one chain from +0 in ascending
+// input index, then the bias. That is the dense chain with its ±0 terms
+// left out, so no bit changes (see the package doc). Four outputs share
+// each listed input per pass, as four independent chains. The rows past
+// n&^3 take denseInto's dotBias order. Both orders are frozen into every
+// trained model.
+func (d *dense) trainForward(dst, x []float64, n int, idx []int32, val []float64) {
+	m, k := d.out, d.in
+	n4 := n &^ 3
+	for s := 0; s < n4; s++ {
+		c := listNonZero(x[s*k:(s+1)*k], idx, val)
+		d.chainInto(idx[:c], val[:c], dst[s*m:(s+1)*m])
 	}
-	// Remainder rows take the dense one-row loop, in the inference
-	// kernel's summation order.
-	for ; s < n; s++ {
+	for s := n4; s < n; s++ {
 		d.denseInto(x[s*k:(s+1)*k], dst[s*m:(s+1)*m])
+	}
+}
+
+// listNonZero writes row's non-zero entries, in ascending index order,
+// into idx and val and returns their count. The stores are unconditional
+// and only the count depends on the value, so a half-dead ReLU output
+// costs no mispredicted branches.
+func listNonZero(row []float64, idx []int32, val []float64) int {
+	idx, val = idx[:len(row)], val[:len(row)]
+	c := 0
+	for i, v := range row {
+		idx[c], val[c] = int32(i), v
+		c += nonZero(v)
+	}
+	return c
+}
+
+// chainInto computes one row of the layer from its listed non-zero
+// inputs: each output sums w[o][i]·v over the list from +0, adds its bias,
+// then the ReLU.
+func (d *dense) chainInto(idx []int32, val []float64, out []float64) {
+	k := d.in
+	val = val[:len(idx)]
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		wa := d.w[o*k : o*k+k]
+		// Reslice the co-indexed rows to wa's length so one bounds check
+		// covers all four loads.
+		wb := d.w[(o+1)*k : (o+1)*k+k][:len(wa)]
+		wc := d.w[(o+2)*k : (o+2)*k+k][:len(wa)]
+		wd := d.w[(o+3)*k : (o+3)*k+k][:len(wa)]
+		var a, b, c, e float64
+		for t, i := range idx {
+			v := val[t]
+			a += wa[i] * v
+			b += wb[i] * v
+			c += wc[i] * v
+			e += wd[i] * v
+		}
+		bias := d.b[o : o+4]
+		a += bias[0]
+		b += bias[1]
+		c += bias[2]
+		e += bias[3]
+		if d.relu {
+			a, b, c, e = relu0(a), relu0(b), relu0(c), relu0(e)
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = a, b, c, e
+	}
+	for ; o < len(out); o++ {
+		wo := d.row(o)
+		var a float64
+		for t, i := range idx {
+			a += wo[i] * val[t]
+		}
+		a += d.b[o]
+		if d.relu {
+			a = relu0(a)
+		}
+		out[o] = a
 	}
 }
 

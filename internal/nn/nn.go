@@ -9,11 +9,12 @@
 //
 // # Training engine
 //
-// Training runs on a flat-weight, mini-batch GEMM engine: each layer's
-// weights live in one contiguous row-major []float64, and a whole
-// mini-batch moves through the network as a (batch × dim) matrix per
-// layer — a blocked matrix multiply with fused bias+ReLU forward, and a
-// matching batched backward pass. The batch, activation, delta, gradient,
+// Training runs on a flat-weight, mini-batch engine: each layer's weights
+// live in one contiguous row-major []float64, and a whole mini-batch
+// moves through the network as a (batch × dim) matrix per layer — a
+// zero-skipping forward with fused bias+ReLU (dense.trainForward, every
+// layer the first included; see Zero skipping), and a matching batched
+// backward pass. The batch, non-zero list, activation, delta, gradient,
 // shuffle and validation buffers live in a reusable TrainScratch, and the
 // optimizer moment buffers live on the network's layers (allocated when
 // training first needs them, released by DropOptimizerState), so the
@@ -39,22 +40,31 @@
 //
 // Inference has one kernel, dense.forwardInto, and ForwardBatch runs every
 // row of a batch through it one layer at a time, so a batch equals Predict
-// on each of its rows bit for bit. The training forward (gemmNT's
-// four-row blocks) sums in another order and stays as it is, so every
-// trained weight keeps its bits.
+// on each of its rows bit for bit. It keeps the summation order of the
+// dense dot product dotBias: four lane accumulators (index mod 4), then
+// the bias and the four lanes, then the tail. Each hidden layer lists its
+// non-zero outputs by lane, in ascending order, for the next layer. The
+// first layer reads the scaled features, which are seldom zero, through
+// the dense loop.
 //
-// forwardInto keeps the summation order of the dense dot product dotBias
-// (four lane accumulators, index mod 4; then the bias and the four lanes;
-// then the tail) but leaves out every term whose input is an exact zero,
-// which in a trained 4×256 model is about 60% of a hidden layer's inputs,
-// the ReLU's dead units. Each hidden layer lists its non-zero outputs by
-// lane, in ascending order, for the next layer. No output bit changes:
-// with finite weights a skipped term w·(±0) is ±0, and adding ±0 leaves
-// any sum unchanged except −0, which none of these sums can be. A lane
-// sum starts at +0, and in round-to-nearest x + y is −0 only when both
-// are −0, so it is never −0; the bias plus the first lane then is not
-// either, nor is any later partial sum. The first layer reads the scaled
-// features, which are seldom zero, through the dense loop.
+// # Zero skipping
+//
+// Both forwards leave out every term whose input is an exact zero: in a
+// 4×256 model's hidden layers, about 60% of the inputs are the ReLU's
+// dead units, both while it trains and once it is trained. Their orders differ, and each is frozen
+// into every trained model. In training, each row lists its non-zero
+// inputs once per layer, ascending, and each output sums one chain from
+// +0 in ascending input index, then adds the bias; the rows past a
+// batch's last multiple of four take dotBias's order instead. Inference
+// keeps dotBias's order, lane by lane.
+//
+// No output bit changes. With finite weights a skipped term w·(±0) is
+// ±0, and adding ±0 leaves any sum unchanged except −0, which none of
+// these sums can be. Every chain (a training output's sum before its
+// bias, an inference lane) starts at +0, and in round-to-nearest x + y is
+// −0 only when both are −0, so a chain is never −0. Adding the bias to a
+// chain, or a lane to the bias, then gives no −0 either, nor does any
+// later partial sum.
 //
 // # Determinism policy
 //
@@ -298,8 +308,8 @@ func (n *Network) Predict(x []float64) ([]float64, error) {
 
 // denseInto computes the layer output for one sample from a dense input
 // into out without allocating, through the four-accumulator dotBias. The
-// inference kernel runs the first layer through it, and gemmNT every
-// training row outside a four-row block.
+// inference kernel runs the first layer through it, and trainForward
+// every training row past a batch's last multiple of four.
 func (d *dense) denseInto(x, out []float64) {
 	for o := range out {
 		s := dotBias(d.row(o), x, d.b[o])
