@@ -71,8 +71,8 @@ func Summarize(invs []Invocation) (Summary, error) {
 // invocation order — the input to the stability analysis (paper Fig. 3).
 func MetricSamples(invs []Invocation, id MetricID) []float64 {
 	out := make([]float64, len(invs))
-	for i, inv := range invs {
-		out[i] = inv.Metrics[id]
+	for i := range invs {
+		out[i] = invs[i].Metrics[id]
 	}
 	return out
 }
